@@ -2,9 +2,8 @@
 
 * :mod:`repro.runner.keys` -- stable stage-invocation identities.
 * :mod:`repro.runner.cache` -- memory + on-disk JSON result cache.
-* :mod:`repro.runner.backends` -- pluggable disk-tier backends: local
-  directory with locks + checksums, gzip write policy, degrading
-  remote tier.
+* :mod:`repro.runner.backends` -- the disk-tier backend: a local
+  directory with checksums, gzip, and single-flight locks.
 * :mod:`repro.runner.stages` -- the pipeline stages + grid points.
 * :mod:`repro.runner.sweep` -- grid expansion, dedup, process fan-out,
   checkpoint/resume journaling.
@@ -22,13 +21,8 @@ and the CI regression gate.
 
 from .backends import (
     CACHE_FORMAT_VERSION,
-    CircuitBreaker,
     CorruptEntry,
-    GzipBackend,
     LocalDirBackend,
-    RemoteBackend,
-    RemoteError,
-    RemoteTimeout,
     default_backend,
 )
 from .bench import BenchReport, compare_reports, run_bench
@@ -65,13 +59,8 @@ from .sweep import (
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "CacheStats",
-    "CircuitBreaker",
     "CorruptEntry",
-    "GzipBackend",
     "LocalDirBackend",
-    "RemoteBackend",
-    "RemoteError",
-    "RemoteTimeout",
     "StageCache",
     "StageKey",
     "default_backend",

@@ -101,12 +101,6 @@ class BenchReport:
             self-describing across engines and machines.
         engine: Braid engine the sweep simulated with (reports
             recorded before the engine axis existed load as "flat").
-        cache_health: Backend-tier health snapshot
-            (:meth:`~repro.runner.cache.StageCache.backend_health`)
-            when the bench ran against a persistent cache — records a
-            degraded remote tier next to the timings it may have
-            influenced.  None for the default in-memory cache (and in
-            reports recorded before backends existed).
     """
 
     grid: str
@@ -119,7 +113,6 @@ class BenchReport:
     equivalence_checked: int = 0
     environment: dict = dataclasses.field(default_factory=dict)
     engine: str = "flat"
-    cache_health: Optional[dict] = None
 
     @property
     def braid_seconds(self) -> float:
@@ -164,6 +157,9 @@ class BenchReport:
                 f"bench report format {version!r} is not the supported "
                 f"version {BENCH_FORMAT_VERSION}; re-record the report"
             )
+        # Older reports carry a cache-health snapshot, which is always
+        # null for the in-memory bench and no longer recorded.
+        payload.pop("cache_health", None)
         return cls(**payload)
 
     def save(self, path: Union[str, Path]) -> None:
@@ -281,7 +277,6 @@ def run_bench(
     reference: bool = False,
     workers: int = 1,
     engine: Optional[str] = None,
-    cache: Optional[StageCache] = None,
 ) -> BenchReport:
     """Run one cold-cache benchmark measurement.
 
@@ -294,10 +289,9 @@ def run_bench(
             per process; keep 1 for trajectory comparisons).
         engine: Braid engine for every point (None keeps the grid's
             own engine — "flat" for the presets).
-        cache: Explicit stage cache (default: a fresh in-memory one,
-            so the measurement is genuinely cold).  When the cache has
-            a disk or remote backend, its health snapshot is recorded
-            in :attr:`BenchReport.cache_health`.
+
+    The sweep runs through a fresh in-memory cache, so the measurement
+    is genuinely cold.
     """
     if isinstance(grid, str):
         spec = bench_grid(grid)
@@ -305,8 +299,7 @@ def run_bench(
         spec, grid = grid, "custom"
     if engine is not None and engine != spec.engine:
         spec = dataclasses.replace(spec, engine=engine)
-    if cache is None:
-        cache = StageCache()
+    cache = StageCache()
     runner = SweepRunner(cache=cache, workers=workers)
     start = time.perf_counter()
     result = runner.run(spec)
@@ -323,8 +316,6 @@ def run_bench(
         environment=_environment(result.workers),
         engine=spec.engine,
     )
-    if cache.backend is not None or cache.remote is not None:
-        report.cache_health = cache.backend_health()
     if reference:
         # After a parallel sweep the stage artifacts live in worker
         # processes; _reference_pass recomputes any missing prefix

@@ -1,4 +1,4 @@
-"""Two-level (memory + pluggable disk backend) stage result cache.
+"""Two-level (memory + disk backend) stage result cache.
 
 The in-memory level stores live Python objects (circuits, machines,
 result dataclasses) so stage invocations sharing a prefix — the same
@@ -7,11 +7,7 @@ once per process.  The disk level persists JSON payloads through a
 :mod:`~repro.runner.backends` backend (by default a local directory
 with gzip write policy, integrity checksums, and single-flight
 cross-process locking), so sweeps resume across processes and sessions
-and reports re-render without re-simulating.  An optional *remote*
-tier (:class:`~repro.runner.backends.RemoteBackend`) is read-through /
-write-through best-effort: a dead shared endpoint degrades the cache
-to local-only (tagged in :class:`CacheStats`) instead of failing the
-sweep.
+and reports re-render without re-simulating.
 
 Cached artifacts are shared by reference: treat them as immutable.
 """
@@ -19,7 +15,6 @@ Cached artifacts are shared by reference: treat them as immutable.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from pathlib import Path
@@ -30,8 +25,6 @@ from .backends import (
     SUPPORTED_CACHE_FORMATS,
     CorruptEntry,
     FlightLease,
-    RemoteBackend,
-    RemoteError,
     decode_record,
     default_backend,
     make_record,
@@ -68,10 +61,6 @@ class CacheStats:
         waits: Single-flight follower loads per stage — this process
             waited for another worker's compute, then loaded it (also
             counted in ``disk_hits``).
-        remote: Remote-tier event counters (``hits``, ``misses``,
-            ``pushes``, ``errors``, ``corrupt``) plus the sticky
-            ``degraded`` flag (1 once the circuit breaker opened and
-            the cache fell back to local-only operation).
     """
 
     hits: dict[str, int] = dataclasses.field(default_factory=dict)
@@ -79,7 +68,6 @@ class CacheStats:
     misses: dict[str, int] = dataclasses.field(default_factory=dict)
     seconds: dict[str, float] = dataclasses.field(default_factory=dict)
     waits: dict[str, int] = dataclasses.field(default_factory=dict)
-    remote: dict[str, int] = dataclasses.field(default_factory=dict)
 
     def record_hit(self, stage: str) -> None:
         self.hits[stage] = self.hits.get(stage, 0) + 1
@@ -96,12 +84,6 @@ class CacheStats:
     def record_wait(self, stage: str) -> None:
         self.waits[stage] = self.waits.get(stage, 0) + 1
 
-    def record_remote(self, event: str, count: int = 1) -> None:
-        self.remote[event] = self.remote.get(event, 0) + count
-
-    def mark_remote_degraded(self) -> None:
-        self.remote["degraded"] = 1
-
     def merge(self, other: "CacheStats") -> None:
         """Fold another process's counters into this one."""
         for counter, theirs in (
@@ -113,14 +95,6 @@ class CacheStats:
         ):
             for stage, count in theirs.items():
                 counter[stage] = counter.get(stage, 0) + count
-        for event, count in other.remote.items():
-            if event == "degraded":
-                # Sticky state flag, not an event count: any degraded
-                # worker makes the merged sweep degraded.
-                self.remote[event] = max(self.remote.get(event, 0), count)
-            else:
-                self.remote[event] = self.remote.get(event, 0) + count
-
     def computed(self, stage: str) -> int:
         """How many times ``stage`` was actually executed."""
         return self.misses.get(stage, 0)
@@ -140,7 +114,6 @@ class CacheStats:
             "misses": dict(self.misses),
             "seconds": dict(self.seconds),
             "waits": dict(self.waits),
-            "remote": dict(self.remote),
         }
 
     @classmethod
@@ -151,7 +124,6 @@ class CacheStats:
             misses=dict(payload.get("misses", {})),
             seconds=dict(payload.get("seconds", {})),
             waits=dict(payload.get("waits", {})),
-            remote=dict(payload.get("remote", {})),
         )
 
     def summary(self) -> str:
@@ -167,16 +139,6 @@ class CacheStats:
             if stage in self.seconds:
                 part += f", {self.seconds[stage]:.2f}s"
             parts.append(part)
-        if self.remote:
-            bits = [
-                f"{self.remote[event]} {event}"
-                for event in ("hits", "misses", "pushes", "errors")
-                if self.remote.get(event)
-            ]
-            if self.remote.get("degraded"):
-                bits.append("degraded to local-only")
-            if bits:
-                parts.append("remote: " + ", ".join(bits))
         return "; ".join(parts) if parts else "empty"
 
 
@@ -190,33 +152,18 @@ class StageCache:
             .default_backend` (gzip over a locking local directory).
         backend: Explicit :class:`~repro.runner.backends.CacheBackend`
             (overrides the default built from ``disk_dir``).
-        remote: Shared read-through/write-through tier: a
-            :class:`~repro.runner.backends.RemoteBackend` or an
-            endpoint string (directory, ``file://``, or ``http(s)://``
-            URL).  Strictly best-effort — outages degrade the cache to
-            local-only (see :attr:`CacheStats.remote`), they never
-            fail a caller.
-        single_flight: Serialize concurrent computes of one missing
-            key across processes through the backend's lock file (only
-            applies to stages persisted with both serializers).
     """
 
     def __init__(
         self,
         disk_dir: Optional[Union[str, os.PathLike]] = None,
         backend=None,
-        remote: Optional[Union[str, os.PathLike, RemoteBackend]] = None,
-        single_flight: bool = True,
     ):
         self._memory: dict[StageKey, Any] = {}
         if backend is None and disk_dir is not None:
             backend = default_backend(disk_dir)
         self.backend = backend
         self.disk_dir = Path(backend.root) if backend is not None else None
-        if remote is not None and not isinstance(remote, RemoteBackend):
-            remote = RemoteBackend(str(remote))
-        self.remote = remote
-        self.single_flight = single_flight
         self.stats = CacheStats()
         # Nested-compute bookkeeping for self-time attribution: each
         # frame accumulates the inclusive seconds of its child stages.
@@ -257,20 +204,13 @@ class StageCache:
         if key in self._memory:
             self.stats.record_hit(key.stage)
             return self._memory[key]
-        loadable = (
-            self.backend is not None or self.remote is not None
-        ) and from_jsonable is not None
+        loadable = self.backend is not None and from_jsonable is not None
         if loadable:
             payload = self.load_payload(key)
             if payload is not None:
                 return self._admit(key, payload, from_jsonable, verify)
         lease: Optional[FlightLease] = None
-        if (
-            self.single_flight
-            and self.backend is not None
-            and from_jsonable is not None
-            and to_jsonable is not None
-        ):
+        if loadable and to_jsonable is not None:
             while True:
                 lease = self.backend.wait_or_lead(key.stage, key.digest)
                 if lease is not None:
@@ -280,8 +220,8 @@ class StageCache:
                     self.stats.record_wait(key.stage)
                     return self._admit(key, payload, from_jsonable, verify)
                 # The leader's entry vanished before we could load it
-                # (e.g. a corrupt write was quarantined): loop back and
-                # contend for leadership ourselves.
+                # (e.g. a corrupt write was quarantined, or a stale one
+                # dropped): loop back and contend for leadership.
         try:
             self.stats.record_miss(key.stage)
             start = time.perf_counter()
@@ -337,81 +277,28 @@ class StageCache:
         to ``<disk_dir>/quarantine/<stage>/`` with a ``.reason.txt``
         sidecar before the miss is reported, so corrupt entries are
         preserved as evidence instead of being silently recomputed
-        over.  A local miss falls through to the remote tier (when
-        configured); a fetched record is re-persisted locally so the
-        next load is local.
+        over.  An intact entry of a stale format (e.g. the checksum-less
+        format 1) is a plain miss: it is deleted, not quarantined, so
+        the recompute rewrites it and single-flight followers never
+        wait on an entry that cannot load.
         """
-        record: Optional[dict] = None
-        if self.backend is not None:
-            try:
-                record = self.backend.load(key.stage, key.digest)
-            except CorruptEntry as error:
-                self.quarantine(
-                    self.backend.entry_path(key.stage, key.digest),
-                    error.reason,
-                )
-                record = None
-        if record is None:
-            record = self._remote_fetch(key)
+        if self.backend is None:
+            return None
+        path = self.backend.entry_path(key.stage, key.digest)
+        try:
+            record = self.backend.load(key.stage, key.digest)
+        except CorruptEntry as error:
+            self.quarantine(path, error.reason)
+            return None
         if record is None:
             return None
         if record.get("format") not in SUPPORTED_CACHE_FORMATS:
-            return None
-        return record.get("value")
-
-    def _remote_fetch(self, key: StageKey) -> Optional[dict]:
-        """Read-through from the shared tier; never raises."""
-        remote = self.remote
-        if remote is None:
-            return None
-        was_degraded = remote.degraded
-        try:
-            data = remote.fetch(key.stage, key.digest, key=key)
-        except RemoteError:
-            self.stats.record_remote("errors")
-            self._note_remote_state()
-            return None
-        self._note_remote_state()
-        if data is None:
-            if not was_degraded:
-                self.stats.record_remote("misses")
-            return None
-        try:
-            record = decode_record(data)
-        except CorruptEntry:
-            self.stats.record_remote("corrupt")
-            return None
-        self.stats.record_remote("hits")
-        if (
-            self.backend is not None
-            and record.get("format") in SUPPORTED_CACHE_FORMATS
-        ):
             try:
-                # Populate the local tier so future loads (and other
-                # local workers) skip the network.
-                self.backend.store(key.stage, key.digest, record)
+                path.unlink()
             except OSError:
                 pass
-        return record
-
-    def _remote_push(self, key: StageKey, data: bytes) -> None:
-        """Write-through to the shared tier; never raises."""
-        remote = self.remote
-        if remote is None:
-            return
-        was_degraded = remote.degraded
-        try:
-            remote.push(key.stage, key.digest, data, key=key)
-        except RemoteError:
-            self.stats.record_remote("errors")
-        else:
-            if not was_degraded:
-                self.stats.record_remote("pushes")
-        self._note_remote_state()
-
-    def _note_remote_state(self) -> None:
-        if self.remote is not None and self.remote.degraded:
-            self.stats.mark_remote_degraded()
+            return None
+        return record.get("value")
 
     def quarantine(self, path: Path, reason: str) -> Optional[Path]:
         """Move a problematic disk entry aside with a reason sidecar.
@@ -470,17 +357,15 @@ class StageCache:
 
         The record carries a sha256 of its (JSON-normalized) payload;
         the backend's write policy decides the bytes (gzip above the
-        threshold by default).  The exact stored bytes are then pushed
-        best-effort to the remote tier, when one is configured.
+        threshold).
         """
         if self.backend is None:
             return
         record = make_record(key.describe(), payload)
-        data = self.backend.store(key.stage, key.digest, record)
+        self.backend.store(key.stage, key.digest, record)
         plan = active_plan()
         if plan is not None:
             self._apply_store_faults(plan, key, record)
-        self._remote_push(key, data)
 
     def _apply_store_faults(self, plan, key: StageKey, record: dict) -> None:
         """Damage the just-written entry per the active fault plan."""
@@ -538,24 +423,13 @@ class StageCache:
             return 0
         return sum(1 for _ in quarantine.glob("*/*.reason.txt"))
 
-    def backend_health(self) -> dict[str, Any]:
-        """Lock/gzip/breaker health of the configured tiers."""
-        return {
-            "local": (
-                self.backend.health() if self.backend is not None else None
-            ),
-            "remote": (
-                self.remote.health() if self.remote is not None else None
-            ),
-        }
-
     def disk_stats(self) -> dict[str, Any]:
         """Entry counts, byte sizes, and age range of the disk level.
 
         Per-stage (and total) ``raw_bytes`` report the uncompressed
         payload sizes next to the stored ``bytes``, so the gzip
-        policy's savings are visible; ``backend`` carries the tier
-        health report (locks, gzip counters, circuit breaker).
+        policy's savings are visible; ``backend`` carries the
+        backend's health report (locks, gzip counters).
         """
         stages: dict[str, dict[str, Any]] = {}
         total_entries = 0
@@ -603,7 +477,9 @@ class StageCache:
             "total_raw_bytes": total_raw,
             "total_compressed_entries": total_compressed,
             "quarantined": self.quarantined_count(),
-            "backend": self.backend_health(),
+            "backend": (
+                self.backend.health() if self.backend is not None else None
+            ),
         }
 
     def prune(
@@ -638,70 +514,6 @@ class StageCache:
                     continue
         return removed
 
-    def migrate(self, stage: Optional[str] = None) -> dict[str, Any]:
-        """Rewrite entries to the current format and write policy.
-
-        Legacy (format 1, checksum-less, uncompressed) entries are
-        re-encoded in place as current-format records — sha256
-        checksum recorded, gzip above the backend's threshold.
-        Entries already matching the current policy byte-for-byte are
-        left untouched (record encoding and gzip are deterministic, so
-        re-running migrate is idempotent).  Undecodable entries are
-        quarantined; entries with an *unknown* format are counted
-        ``stale`` and left for ``prune``.
-
-        Returns ``{"migrated", "unchanged", "stale", "failed"}``.
-        """
-        migrated = 0
-        unchanged = 0
-        stale = 0
-        failed: list[str] = []
-        if self.backend is None:
-            return {
-                "migrated": 0, "unchanged": 0, "stale": 0, "failed": [],
-            }
-        for stage_dir in self._stage_dirs():
-            if stage is not None and stage_dir.name != stage:
-                continue
-            for path in sorted(stage_dir.glob("*.json")):
-                try:
-                    data = path.read_bytes()
-                except OSError:
-                    failed.append(str(path))
-                    continue
-                try:
-                    record = decode_record(data, path=path)
-                except CorruptEntry as error:
-                    self.quarantine(
-                        path, f"failed migrate: {error.reason}"
-                    )
-                    failed.append(str(path))
-                    continue
-                if record.get("format") not in SUPPORTED_CACHE_FORMATS:
-                    stale += 1
-                    continue
-                fresh = make_record(
-                    record.get("key") or {}, record.get("value")
-                )
-                encoded = self.backend.encode(fresh)
-                if encoded == data:
-                    unchanged += 1
-                    continue
-                try:
-                    self.backend.write_bytes(
-                        stage_dir.name, path.stem, encoded
-                    )
-                except OSError:
-                    failed.append(str(path))
-                    continue
-                migrated += 1
-        return {
-            "migrated": migrated,
-            "unchanged": unchanged,
-            "stale": stale,
-            "failed": failed,
-        }
-
     def verify(
         self,
         payload_checks: Optional[
@@ -713,12 +525,11 @@ class StageCache:
         Every record embeds its key's human-readable description;
         rebuilding the :class:`StageKey` from it must reproduce the
         digest the file is named after (canonical JSON is stable under
-        a decode/re-encode round trip).  Format >= 2 records must also
-        hash to their recorded sha256 — a mismatch is reported under
-        ``checksum`` and quarantined with a checksum reason.  Format-1
-        legacy records still verify (counted in ``legacy`` as a
-        ``cache migrate`` hint).  Returns per-problem lists so callers
-        can report or re-prune.
+        a decode/re-encode round trip).  Records must also hash to their
+        recorded sha256 — a mismatch is reported under ``checksum`` and
+        quarantined with a checksum reason.  Records of a stale format
+        (e.g. format 1) are listed under ``stale_format``.  Returns
+        per-problem lists so callers can report or re-prune.
 
         Args:
             payload_checks: Optional per-stage validators over the
@@ -732,7 +543,6 @@ class StageCache:
         payload_checks = payload_checks or {}
         checked = 0
         ok = 0
-        legacy = 0
         corrupt: list[str] = []
         checksum_bad: list[str] = []
         stale_format: list[str] = []
@@ -761,12 +571,9 @@ class StageCache:
                     if moved is not None:
                         quarantined.append(str(moved))
                     continue
-                fmt = record.get("format")
-                if fmt not in SUPPORTED_CACHE_FORMATS:
+                if record.get("format") not in SUPPORTED_CACHE_FORMATS:
                     stale_format.append(str(path))
                     continue
-                if fmt < CACHE_FORMAT_VERSION:
-                    legacy += 1
                 described = record.get("key") or {}
                 try:
                     key = StageKey.make(
@@ -793,7 +600,6 @@ class StageCache:
         return {
             "checked": checked,
             "ok": ok,
-            "legacy": legacy,
             "corrupt": corrupt,
             "checksum": checksum_bad,
             "stale_format": stale_format,

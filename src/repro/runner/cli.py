@@ -17,11 +17,10 @@ Subcommands:
 * ``bench`` -- cold-cache stage-timing measurement through
   :mod:`repro.runner.bench`, with optional reference-simulator
   verification and a baseline regression gate.
-* ``cache`` -- stats / prune / verify / migrate for an on-disk stage
-  cache (``verify`` audits payload checksums and round-trip-validates
-  persisted ``lowered`` circuits; ``migrate`` re-encodes legacy
-  entries with checksums and the gzip write policy; ``stats`` reports
-  raw vs. stored bytes and backend health).
+* ``cache`` -- stats / prune / verify for an on-disk stage cache
+  (``verify`` audits payload checksums and round-trip-validates
+  persisted ``lowered`` circuits; ``stats`` reports raw vs. stored
+  bytes and backend health).
 * ``check`` -- static IR verification of every compiled artifact of a
   sweep grid through :mod:`repro.analysis` (zero diagnostics on a
   healthy build).
@@ -144,28 +143,9 @@ def _add_point_options(parser: argparse.ArgumentParser) -> None:
         help="EPR look-ahead window (logical cycles)",
     )
     parser.add_argument(
-        "--engine",
-        default="flat",
-        choices=sorted(ENGINES),
-        help=(
-            "braid engine (bit-identical results; vec needs the numpy "
-            "extra: pip install repro[vec])"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help="on-disk JSON stage cache directory",
-    )
-    parser.add_argument(
-        "--remote-cache",
-        default=None,
-        metavar="ENDPOINT",
-        help=(
-            "shared cache tier: a directory, file:// path, or "
-            "http(s):// URL; best-effort — an outage degrades to "
-            "local-only caching, never fails the run"
-        ),
     )
     parser.add_argument(
         "--verify-stages",
@@ -175,6 +155,30 @@ def _add_point_options(parser: argparse.ArgumentParser) -> None:
             "stage artifact before it enters the cache"
         ),
     )
+
+
+def _add_execution_options(
+    parser: argparse.ArgumentParser, workers: bool = True
+) -> None:
+    parser.add_argument(
+        "--engine",
+        default="flat",
+        choices=sorted(ENGINES),
+        help=(
+            "braid engine (bit-identical results; vec needs the numpy "
+            "extra: pip install repro[vec])"
+        ),
+    )
+    if workers:
+        parser.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help=(
+                "process count (1 = serial through one shared cache; "
+                "keep 1 for comparable stage timings)"
+            ),
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", type=int, default=6, help="braid policy (0-8)"
     )
     _add_point_options(run)
+    _add_execution_options(run, workers=False)
     run.add_argument("--out", default=None, help="also write JSON here")
     run.add_argument(
         "--compact", action="store_true", help="single-line JSON output"
@@ -230,12 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policies", default="6", help='policies: "6", "0,3,6", or "0-8"'
     )
     _add_point_options(sweep)
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process count (1 = serial through one shared cache)",
-    )
+    _add_execution_options(sweep)
     sweep.add_argument(
         "--out", default=None, help="write the sweep results JSON here"
     )
@@ -322,21 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
             "verify bit-identical results (enables the relative gate)"
         ),
     )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="sweep process count (keep 1 for comparable stage timings)",
-    )
-    bench.add_argument(
-        "--engine",
-        default="flat",
-        choices=sorted(ENGINES),
-        help=(
-            "braid engine to measure (bit-identical results; vec needs "
-            "the numpy extra: pip install repro[vec])"
-        ),
-    )
+    _add_execution_options(bench)
     bench.add_argument(
         "--out", default=None, help="write the bench report JSON here"
     )
@@ -385,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd = sub.add_parser(
         "cache", help="inspect or maintain an on-disk stage cache"
     )
-    cache_cmd.add_argument(
-        "action", choices=["stats", "prune", "verify", "migrate"]
-    )
+    cache_cmd.add_argument("action", choices=["stats", "prune", "verify"])
     cache_cmd.add_argument(
         "--cache-dir", required=True, help="stage cache directory"
     )
@@ -400,13 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd.add_argument(
         "--stage",
         default=None,
-        help="prune/migrate: restrict to one stage directory",
-    )
-    cache_cmd.add_argument(
-        "--remote-cache",
-        default=None,
-        metavar="ENDPOINT",
-        help="stats: include this remote tier's health in the report",
+        help="prune: restrict to one stage directory",
     )
 
     check = sub.add_parser(
@@ -506,16 +484,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         window=args.window,
         engine=args.engine,
     )
-    if args.remote_cache and not args.cache_dir:
-        print(
-            "--remote-cache needs --cache-dir (the local tier); "
-            "ignoring it",
-            file=sys.stderr,
-        )
-    cache = StageCache(
-        args.cache_dir,
-        remote=args.remote_cache if args.cache_dir else None,
-    )
+    cache = StageCache(args.cache_dir)
     result = run_point(spec, cache)
     payload = result.to_jsonable()
     text = json.dumps(payload, indent=None if args.compact else 1)
@@ -623,18 +592,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
     )
     journal = journal_path(args.out) if args.out else None
-    if args.remote_cache and not args.cache_dir:
-        print(
-            "--remote-cache needs --cache-dir (the local tier); "
-            "ignoring it",
-            file=sys.stderr,
-        )
     runner = SweepRunner(
         cache_dir=args.cache_dir,
         workers=args.workers,
         retry=retry,
         max_failures=max_failures,
-        remote=args.remote_cache if args.cache_dir else None,
     )
     try:
         result = runner.run(grid, journal=journal, resume=args.resume)
@@ -658,12 +620,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(
             f"{len(result.degraded)} point(s) degraded to the flat "
             "engine",
-            file=sys.stderr,
-        )
-    if result.cache_degraded:
-        print(
-            "remote cache tier degraded to local-only (circuit "
-            "breaker open; results are unaffected)",
             file=sys.stderr,
         )
     if not result.ok:
@@ -771,13 +727,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.stage is not None and args.action not in ("prune", "migrate"):
-        print(
-            "--stage only applies to the prune and migrate actions",
-            file=sys.stderr,
-        )
+    if args.stage is not None and args.action != "prune":
+        print("--stage only applies to the prune action", file=sys.stderr)
         return 2
-    cache = StageCache(args.cache_dir, remote=args.remote_cache)
+    cache = StageCache(args.cache_dir)
     if args.action == "stats":
         print(json.dumps(cache.disk_stats(), indent=1))
         return 0
@@ -790,17 +743,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         removed = cache.prune(older_than_seconds=seconds, stage=args.stage)
         print(f"pruned {removed} cache entries", file=sys.stderr)
         return 0
-    if args.action == "migrate":
-        result = cache.migrate(stage=args.stage)
-        print(json.dumps(result, indent=1))
-        print(
-            f"migrated {result['migrated']} entries "
-            f"({result['unchanged']} already current, "
-            f"{result['stale']} stale, "
-            f"{len(result['failed'])} failed)",
-            file=sys.stderr,
-        )
-        return 1 if result["failed"] else 0
     from ..analysis.verify import lowered_payload_check
 
     result = cache.verify(

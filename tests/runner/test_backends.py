@@ -1,36 +1,32 @@
-"""Crash-safe cache backends: record checksums, gzip write policy,
+"""Crash-safe cache backend: record checksums, gzip write policy,
 single-flight locking (8-way multiprocessing stress + staleness
-takeover), the degrading remote tier, and the seeded backend fault
-modes (torn write, checksum flip, remote outage)."""
+takeover), stale-format entries, and the seeded backend fault modes
+(torn write, checksum flip)."""
 
 import gzip
 import json
 import multiprocessing
 import os
+import platform
 import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runner import (
-    CircuitBreaker,
     CorruptEntry,
     FaultAction,
     FaultPlan,
-    GridSpec,
-    RemoteBackend,
-    RemoteError,
-    RemoteTimeout,
-    RetryPolicy,
     StageCache,
     StageKey,
-    SweepRunner,
     set_fault_plan,
 )
 from repro.runner.backends import (
     CACHE_FORMAT_VERSION,
-    GzipBackend,
+    GZIP_THRESHOLD,
     LocalDirBackend,
     decode_record,
     default_backend,
@@ -42,8 +38,6 @@ from repro.runner.cli import main as cli_main
 
 KEY = StageKey.make("demo", x=1)
 
-ONE_POINT = GridSpec(apps=("sq",), sizes={"sq": 2}, policies=(6,), distance=3)
-
 
 @pytest.fixture(autouse=True)
 def _no_leaked_fault_plan():
@@ -54,6 +48,14 @@ def _no_leaked_fault_plan():
 
 def _identity_cache_args():
     return dict(to_jsonable=lambda v: v, from_jsonable=lambda p: p)
+
+
+def _dead_pid():
+    """A real-but-dead pid: wait() reaps the child, so the pid is free
+    by the time a staleness probe looks at it."""
+    child = subprocess.Popen(["true"])
+    child.wait()
+    return child.pid
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +94,6 @@ class TestRecordFormat:
             decode_record(json.dumps(record).encode())
         assert excinfo.value.kind == "checksum"
 
-    def test_legacy_format_1_needs_no_checksum(self):
-        legacy = {"format": 1, "key": KEY.describe(), "value": {"v": 7}}
-        assert decode_record(json.dumps(legacy).encode()) == legacy
-
     def test_garbage_and_truncated_gzip_are_undecodable(self):
         with pytest.raises(CorruptEntry) as excinfo:
             decode_record(b"{not json")
@@ -107,6 +105,34 @@ class TestRecordFormat:
     def test_non_object_record_rejected(self):
         with pytest.raises(CorruptEntry):
             decode_record(b"[1, 2, 3]")
+
+
+class TestStaleFormat:
+    def test_format_1_entry_is_recomputed_and_rewritten(self, tmp_path):
+        # The checksum-less format 1 is no longer read: such an entry is
+        # a plain miss -- recomputed and overwritten, never quarantined.
+        cache = StageCache(tmp_path)
+        path = cache._path(KEY)
+        path.parent.mkdir(parents=True)
+        legacy = {"format": 1, "key": KEY.describe(), "value": {"v": 1}}
+        path.write_text(json.dumps(legacy), encoding="utf-8")
+        assert StageCache(tmp_path).verify()["stale_format"] == [str(path)]
+
+        computes = []
+        value = cache.get_or_compute(
+            KEY,
+            lambda: computes.append(1) or {"v": 2},
+            **_identity_cache_args(),
+        )
+        assert value == {"v": 2}
+        assert computes == [1]
+        assert cache.stats.disk_hits == {}
+        record = decode_record(path.read_bytes())
+        assert record["format"] == CACHE_FORMAT_VERSION == 2
+        assert record["value"] == {"v": 2}
+        assert cache.quarantined_count() == 0
+        audit = StageCache(tmp_path).verify()
+        assert audit["ok"] == audit["checked"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +159,18 @@ class TestGzipBackend:
         assert backend.load("demo", KEY.digest) == record
 
     def test_legacy_uncompressed_entries_load_forever(self, tmp_path):
+        # A large record written as plain JSON (before gzip became the
+        # write policy) still loads: reads sniff the gzip magic.
         backend = default_backend(tmp_path)
-        legacy = {"format": 1, "key": KEY.describe(), "value": {"v": 3}}
+        record = make_record(
+            KEY.describe(), {"rows": [[i] * 40 for i in range(200)]}
+        )
+        plain = json.dumps(record, indent=1).encode("utf-8")
+        assert len(plain) >= GZIP_THRESHOLD
         path = backend.entry_path("demo", KEY.digest)
         path.parent.mkdir(parents=True)
-        path.write_text(json.dumps(legacy), encoding="utf-8")
-        assert backend.load("demo", KEY.digest) == legacy
+        path.write_bytes(plain)
+        assert backend.load("demo", KEY.digest) == record
 
     def test_encoding_is_deterministic(self, tmp_path):
         backend = default_backend(tmp_path)
@@ -146,6 +178,12 @@ class TestGzipBackend:
             KEY.describe(), {"rows": [[i] * 40 for i in range(200)]}
         )
         assert backend.encode(record) == backend.encode(record)
+        # Level 6 and mtime=0: the stored bytes are a pure function of
+        # the record, so existing format-2 caches stay byte-identical.
+        plain = (json.dumps(record, indent=1) + "\n").encode("utf-8")
+        assert backend.encode(record) == gzip.compress(
+            plain, compresslevel=6, mtime=0
+        )
 
     def test_health_reports_byte_counters(self, tmp_path):
         backend = default_backend(tmp_path)
@@ -154,6 +192,7 @@ class TestGzipBackend:
         assert report["backend"] == "local"
         assert report["gzip"]["plain_writes"] == 1
         assert report["gzip"]["raw_bytes_written"] > 0
+        assert backend.raw_bytes_written == backend.stored_bytes_written
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +214,11 @@ class TestSingleFlightLocal:
 
     def test_dead_pid_lock_taken_over(self, tmp_path):
         backend = LocalDirBackend(tmp_path, lock_poll=0.01)
-        # A real-but-dead pid: wait() reaps the child, so the pid is
-        # free by the time we probe it.
-        child = subprocess.Popen(["true"])
-        child.wait()
-        dead = child.pid
         lock = backend.lock_path("demo", KEY.digest)
         lock.parent.mkdir(parents=True)
-        import platform
-
         lock.write_text(
             json.dumps(
-                {"pid": dead, "host": platform.node(), "time": time.time()}
+                {"pid": _dead_pid(), "host": platform.node(), "time": time.time()}
             ),
             encoding="utf-8",
         )
@@ -202,8 +234,6 @@ class TestSingleFlightLocal:
         lock = backend.lock_path("demo", KEY.digest)
         lock.parent.mkdir(parents=True)
         # A live-holder lock (our own pid) that is simply too old.
-        import platform
-
         lock.write_text(
             json.dumps(
                 {"pid": os.getpid(), "host": platform.node(), "time": 0}
@@ -215,6 +245,47 @@ class TestSingleFlightLocal:
         assert lease is not None
         assert backend.lock_takeovers == 1
         lease.release()
+
+    def test_second_breaker_spares_the_new_leaders_lock(self, tmp_path):
+        # Replays the takeover race: followers A and B both judge a dead
+        # holder's lock stale; A breaks it and leads with a fresh lock
+        # before B gets to break.  B must leave A's live lock alone and
+        # wait for A's entry instead of leading a second compute.
+        a = LocalDirBackend(tmp_path, lock_poll=0.01)
+        b = LocalDirBackend(tmp_path, lock_poll=0.01)
+        lock = b.lock_path("demo", KEY.digest)
+        lock.parent.mkdir(parents=True)
+        lock.write_text(
+            json.dumps(
+                {"pid": _dead_pid(), "host": platform.node(), "time": 0}
+            ),
+            encoding="utf-8",
+        )
+        judge = b._lock_stale
+        seen = []
+
+        def interleaved(path):
+            verdict = judge(path)
+            if not seen:
+                # B has judged the dead lock stale; A now acts first.
+                seen.append(a.wait_or_lead("demo", KEY.digest))
+            elif len(seen) == 1:
+                # B is back to waiting: A's lock must still be there.
+                seen.append(path.read_text(encoding="utf-8"))
+                a.store(
+                    "demo", KEY.digest, make_record(KEY.describe(), {"v": 1})
+                )
+                seen[0].release()
+            return verdict
+
+        b._lock_stale = interleaved
+        lease = b.wait_or_lead("demo", KEY.digest)
+        assert lease is None, "second breaker deleted the leader's lock"
+        assert a.lock_takeovers == 1
+        assert b.lock_takeovers == 0
+        assert json.loads(seen[1])["pid"] == os.getpid()
+        assert not lock.exists()
+        assert not list(lock.parent.glob("*.break*"))
 
     def test_followers_load_instead_of_recomputing(self, tmp_path):
         computes = []
@@ -247,9 +318,8 @@ def _hammer_worker(root, log_path, out_path, barrier, plan_json):
     if plan_json is not None:
         set_fault_plan(FaultPlan.from_json(plan_json))
     cache = StageCache(root)
-    inner = cache.backend.inner
-    inner.lock_poll = 0.01
-    inner.lock_stale_after = 2.0  # bound zombie-pid takeover time
+    cache.backend.lock_poll = 0.01
+    cache.backend.lock_stale_after = 2.0  # bound zombie-pid takeover time
     key = StageKey.make("demo", x=1)
 
     def compute():
@@ -467,134 +537,6 @@ class TestStoreFaults:
 
 
 # ---------------------------------------------------------------------------
-# Remote tier
-
-
-class TestRemoteBackend:
-    def test_file_endpoint_push_then_fetch(self, tmp_path):
-        store = tmp_path / "store"
-        remote = RemoteBackend(f"file://{store}")
-        record = make_record(KEY.describe(), {"v": 9})
-        data = json.dumps(record).encode()
-        remote.push("demo", KEY.digest, data)
-        assert remote.fetch("demo", KEY.digest) == data
-        assert remote.fetch("demo", "0" * 24) is None  # miss, not error
-        assert remote.health()["protocol"] == "file"
-
-    def test_write_through_and_read_through(self, tmp_path):
-        store = tmp_path / "store"
-        writer = StageCache(tmp_path / "a", remote=str(store))
-        writer.get_or_compute(KEY, lambda: {"v": 3}, **_identity_cache_args())
-        assert writer.stats.remote["pushes"] == 1
-        assert (store / "demo" / f"{KEY.digest}.json").exists()
-
-        reader = StageCache(tmp_path / "b", remote=str(store))
-        value = reader.get_or_compute(
-            KEY, lambda: 1 / 0, **_identity_cache_args()
-        )
-        assert value == {"v": 3}
-        assert reader.stats.remote["hits"] == 1
-        # The fetch populated the local tier: next load skips the net.
-        assert (tmp_path / "b" / "demo" / f"{KEY.digest}.json").exists()
-
-    def test_pushed_bytes_are_the_stored_bytes(self, tmp_path):
-        store = tmp_path / "store"
-        cache = StageCache(tmp_path / "a", remote=str(store))
-        payload = {"rows": [[i] * 40 for i in range(200)]}  # gzips
-        cache.get_or_compute(KEY, lambda: payload, **_identity_cache_args())
-        local = (tmp_path / "a" / "demo" / f"{KEY.digest}.json").read_bytes()
-        pushed = (store / "demo" / f"{KEY.digest}.json").read_bytes()
-        assert pushed == local
-        assert pushed[:2] == b"\x1f\x8b"
-
-    def test_outage_opens_breaker_and_degrades(self, tmp_path):
-        set_fault_plan(FaultPlan([FaultAction(op="remote_error", once=False)]))
-        remote = RemoteBackend(
-            str(tmp_path / "store"),
-            retry=RetryPolicy(max_attempts=2, base_delay=0.001),
-            breaker=CircuitBreaker(threshold=2),
-        )
-        cache = StageCache(tmp_path / "local", remote=remote)
-        for x in range(3):
-            key = StageKey.make("demo", x=x)
-            value = cache.get_or_compute(
-                key, lambda: {"x": x}, **_identity_cache_args()
-            )
-            assert value == {"x": x}, "outage must never fail the caller"
-        assert remote.degraded
-        assert cache.stats.remote["degraded"] == 1
-        assert remote.retries > 0
-        health = cache.backend_health()["remote"]
-        assert health["breaker"]["state"] == "open"
-        # Breaker open: later calls skip the network entirely.
-        fetches_before = remote.fetches
-        cache.load_payload(StageKey.make("demo", x=99))
-        assert remote.fetches == fetches_before
-
-    def test_injected_timeout_and_hang(self, tmp_path):
-        store = tmp_path / "store"
-        record_bytes = json.dumps(
-            make_record(KEY.describe(), {"v": 1})
-        ).encode()
-        (store / "demo").mkdir(parents=True)
-        (store / "demo" / f"{KEY.digest}.json").write_bytes(record_bytes)
-
-        set_fault_plan(FaultPlan([FaultAction(op="remote_timeout")]))
-        remote = RemoteBackend(
-            str(store), retry=RetryPolicy(max_attempts=1)
-        )
-        with pytest.raises(RemoteTimeout):
-            remote.fetch("demo", KEY.digest)
-        set_fault_plan(None)
-
-        # A hang longer than the per-call budget becomes a timeout.
-        set_fault_plan(
-            FaultPlan([FaultAction(op="remote_hang", seconds=0.1)])
-        )
-        hung = RemoteBackend(
-            str(store), retry=RetryPolicy(max_attempts=1), timeout_s=0.05
-        )
-        with pytest.raises(RemoteTimeout):
-            hung.fetch("demo", KEY.digest)
-
-    def test_http_5xx_is_a_remote_error(self):
-        remote = RemoteBackend(
-            "http://127.0.0.1:9",  # discard port: connection refused
-            retry=RetryPolicy(max_attempts=1),
-            timeout_s=0.5,
-        )
-        assert remote.is_http
-        with pytest.raises(RemoteError):
-            remote.fetch("demo", KEY.digest)
-        assert remote.breaker.consecutive_failures == 1
-
-    def test_sweep_survives_remote_outage_bit_identically(self, tmp_path):
-        clean = SweepRunner(cache_dir=tmp_path / "clean").run(ONE_POINT)
-        assert clean.ok
-
-        set_fault_plan(
-            FaultPlan([FaultAction(op="remote_error", once=False)])
-        )
-        runner = SweepRunner(
-            cache=StageCache(
-                tmp_path / "local",
-                remote=RemoteBackend(
-                    str(tmp_path / "store"),
-                    retry=RetryPolicy(max_attempts=1),
-                    breaker=CircuitBreaker(threshold=1),
-                ),
-            )
-        )
-        result = runner.run(ONE_POINT)
-        assert result.ok
-        assert result.cache_degraded
-        assert result.stats.remote["degraded"] == 1
-        assert [p.to_jsonable() for p in result.points] == [
-            p.to_jsonable() for p in clean.points
-        ]
-
-
-# ---------------------------------------------------------------------------
 # Stats plumbing
 
 
@@ -604,18 +546,17 @@ class TestStatsPlumbing:
 
         stats = CacheStats()
         stats.record_wait("demo")
-        stats.record_remote("hits", 2)
-        stats.mark_remote_degraded()
         again = CacheStats.from_dict(stats.as_dict())
         assert again.as_dict() == stats.as_dict()
+        # Stats saved while the cache had a remote tier still load;
+        # the retired counters are dropped.
+        saved = dict(stats.as_dict(), remote={"hits": 2, "degraded": 1})
+        assert CacheStats.from_dict(saved).as_dict() == stats.as_dict()
 
         other = CacheStats()
-        other.record_remote("hits")
-        other.mark_remote_degraded()
+        other.record_wait("demo")
         stats.merge(other)
-        assert stats.remote["hits"] == 3
-        assert stats.remote["degraded"] == 1  # max, not sum
-        assert "degraded to local-only" in stats.summary()
+        assert stats.waits["demo"] == 2
 
     def test_disk_stats_reports_raw_and_compressed(self, tmp_path):
         cache = StageCache(tmp_path)
@@ -627,61 +568,8 @@ class TestStatsPlumbing:
         assert demo["compressed_entries"] == 1
         assert demo["raw_bytes"] > demo["bytes"]
         assert stats["total_raw_bytes"] > stats["total_bytes"]
-        assert stats["backend"]["local"]["gzip"]["compressed_writes"] == 1
-        assert stats["backend"]["remote"] is None
-
-
-# ---------------------------------------------------------------------------
-# Migration
-
-
-class TestMigrate:
-    def _legacy_entry(self, cache, key, payload):
-        record = {"format": 1, "key": key.describe(), "value": payload}
-        path = cache._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-        return path
-
-    def test_legacy_entries_rewritten_in_place(self, tmp_path):
-        cache = StageCache(tmp_path)
-        big_key = StageKey.make("demo", x=2)
-        self._legacy_entry(cache, KEY, {"v": 1})
-        self._legacy_entry(
-            cache, big_key, {"rows": [[i] * 40 for i in range(200)]}
-        )
-        before = StageCache(tmp_path).verify()
-        assert before["legacy"] == 2
-
-        report = cache.migrate()
-        assert report["migrated"] == 2
-        assert report["failed"] == []
-
-        after = StageCache(tmp_path).verify()
-        assert after["legacy"] == 0
-        assert after["ok"] == after["checked"] == 2
-        # The large record picked up the current gzip write policy.
-        _, _, compressed = stored_entry_sizes(cache._path(big_key))
-        assert compressed
-        assert cache.load_payload(big_key) == {
-            "rows": [[i] * 40 for i in range(200)]
-        }
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        cache = StageCache(tmp_path)
-        cache.store_payload(KEY, {"v": 1})
-        first = cache.migrate()
-        assert first == {
-            "migrated": 0, "unchanged": 1, "stale": 0, "failed": [],
-        }
-
-    def test_migrate_quarantines_undecodable(self, tmp_path):
-        cache = StageCache(tmp_path)
-        cache.store_payload(KEY, {"v": 1})
-        cache._path(KEY).write_text("{corrupt", encoding="utf-8")
-        report = cache.migrate()
-        assert len(report["failed"]) == 1
-        assert cache.quarantined_count() == 1
+        assert stats["backend"]["gzip"]["compressed_writes"] == 1
+        assert stats["backend"]["gzip"]["plain_writes"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -700,37 +588,7 @@ class TestBackendCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total_compressed_entries"] == 1
         assert payload["total_raw_bytes"] > payload["total_bytes"]
-        assert payload["backend"]["local"]["backend"] == "local"
-
-    def test_stats_includes_remote_health(self, tmp_path, capsys):
-        self._seed(tmp_path)
-        code = cli_main(
-            [
-                "cache",
-                "stats",
-                "--cache-dir",
-                str(tmp_path),
-                "--remote-cache",
-                str(tmp_path / "store"),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"]["remote"]["breaker"]["state"] == "closed"
-
-    def test_migrate_cli(self, tmp_path, capsys):
-        cache = StageCache(tmp_path)
-        legacy = {"format": 1, "key": KEY.describe(), "value": {"v": 1}}
-        path = cache._path(KEY)
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps(legacy), encoding="utf-8")
-        code = cli_main(
-            ["cache", "migrate", "--cache-dir", str(tmp_path)]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["migrated"] == 1
-        assert cli_main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        assert payload["backend"]["backend"] == "local"
 
     def test_verify_fails_on_checksum_damage(self, tmp_path, capsys):
         cache = StageCache(tmp_path)
@@ -758,3 +616,20 @@ class TestBackendCli:
             ]
         )
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Import cost
+
+
+def test_import_leaves_out_urllib():
+    src = Path(repro.__file__).resolve().parent.parent
+    code = "import sys, repro.runner; print('urllib.request' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

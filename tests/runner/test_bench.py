@@ -249,6 +249,14 @@ class TestEngineAxis:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert BenchReport.load(path).engine == "flat"
 
+    def test_reports_with_cache_health_load(self, tmp_path):
+        payload = _report().to_jsonable()
+        assert "cache_health" not in payload
+        payload["cache_health"] = None
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert BenchReport.load(path) == _report()
+
     @pytest.mark.skipif(
         braidsim_vec.np is None, reason="vec engine needs numpy"
     )

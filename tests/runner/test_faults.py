@@ -3,6 +3,7 @@ checkpoint-resume, quarantine, engine degradation, and the seeded
 fault-injection harness driving all of it deterministically."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -117,6 +118,15 @@ class TestSweepResultSchema:
             del point["degraded_from"]
         loaded = SweepResult.from_jsonable(payload)
         assert loaded.ok
+        assert _jsonable(loaded.points) == _jsonable(result.points)
+
+    def test_payload_with_remote_stats_loads(self):
+        """Reports saved while the cache had a remote tier still load."""
+        result = SweepRunner().run(TINY)
+        payload = result.to_jsonable()
+        payload["stats"]["remote"] = {}
+        loaded = SweepResult.from_jsonable(payload)
+        assert loaded.stats.as_dict() == result.stats.as_dict()
         assert _jsonable(loaded.points) == _jsonable(result.points)
 
     def test_newer_schema_rejected(self):
@@ -698,3 +708,11 @@ class TestChaos:
         assert revived.actions == plan.actions
         assert revived.seed == 99
         assert revived.state_dir == tmp_path
+
+    @pytest.mark.parametrize(
+        "op", ["remote_error", "remote_timeout", "remote_hang"]
+    )
+    def test_plan_rejects_retired_remote_ops(self, op):
+        text = json.dumps({"actions": [{"op": op}]})
+        with pytest.raises(ValueError, match="unknown fault op"):
+            FaultPlan.from_json(text)
