@@ -5,8 +5,9 @@ simulator, kept as the golden model for the optimized core in
 :mod:`repro.network.braidsim`.  The optimized simulator must produce a
 bit-identical :class:`~repro.network.braidsim.BraidSimResult` for every
 (circuit, placement, policy, distance) input; the equivalence tests in
-``tests/network/test_braidsim_golden.py`` and the bench harness
-(``python -m repro bench --reference``) both drive this module.
+``tests/network/test_braidsim_golden.py`` and the benchmark's
+expected-output recorder (``perfbench/record.py``) both drive this
+module.
 
 Do not optimize this file.  Its value is that it is the slow, obviously
 correct transcription of Sections 6.1 and 6.3: per-event tuple heap

@@ -96,7 +96,7 @@ ENGINES = ("flat", "vec", "reference")
   :mod:`._braidsim_reference`, the semantic oracle.
 
 All three produce bit-identical :class:`BraidSimResult`\\ s; the golden
-tests and ``python -m repro bench --reference`` enforce it.
+tests and the benchmark's ``perfbench/record.py`` validation enforce it.
 """
 
 

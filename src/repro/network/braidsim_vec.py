@@ -33,8 +33,8 @@ at its turn — only its failure bookkeeping runs, bit-for-bit the flat
 engine's.  Survivors go through the inherited scalar ``_try_open``,
 which performs the authoritative search, claim, and counter updates.
 Results are therefore bit-identical to the flat engine and to the seed
-loop in :mod:`._braidsim_reference`, which the golden tests and every
-``bench --reference`` run enforce.
+loop in :mod:`._braidsim_reference`, which the golden tests and the
+benchmark's ``perfbench/record.py`` validation enforce.
 
 The plan-derived arrays (mask words, alternative bank, key arrays) are
 cached per :class:`~.plan.BraidPlan` identity and shared by all

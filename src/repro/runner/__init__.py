@@ -9,14 +9,13 @@
   checkpoint/resume journaling.
 * :mod:`repro.runner.faults` -- retry/backoff/deadline policies,
   per-point failure records, deterministic fault injection.
-* :mod:`repro.runner.bench` -- cold-cache stage timing + regression gate.
 * :mod:`repro.runner.report` -- figure/table rendering from the cache.
 * :mod:`repro.runner.cli` -- ``python -m repro``
-  (run / sweep / report / bench / cache).
+  (run / sweep / report / cache / check / lint).
 
 See ``docs/ARCHITECTURE.md`` for the module map and the cache-key flow
-through the stages, and ``docs/PERFORMANCE.md`` for the bench harness
-and the CI regression gate.
+through the stages.  The benchmark of record is ``perfbench/run.py``
+(see ``perfbench/METRICS.md``).
 """
 
 from .backends import (
@@ -25,7 +24,6 @@ from .backends import (
     LocalDirBackend,
     default_backend,
 )
-from .bench import BenchReport, compare_reports, run_bench
 from .cache import CacheStats, StageCache
 from .faults import (
     FaultAction,
@@ -85,7 +83,4 @@ __all__ = [
     "fig6_grid",
     "fig6x_grid",
     "SMALL_SIM_SIZES",
-    "BenchReport",
-    "compare_reports",
-    "run_bench",
 ]

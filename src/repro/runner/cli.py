@@ -1,4 +1,4 @@
-"""``python -m repro``: run, sweep, report, bench, and cache admin.
+"""``python -m repro``: run, sweep, report, cache admin, check, lint.
 
 Subcommands:
 
@@ -7,16 +7,13 @@ Subcommands:
 * ``sweep`` -- a declarative grid (or the ``fig6`` preset) through the
   :class:`~repro.runner.sweep.SweepRunner`, with shared-work dedup,
   optional process parallelism, and fault tolerance (per-point
-  isolation, ``--max-failures``/``--fail-fast``, retries with
+  isolation under ``--max-failures``, retries with
   ``--max-attempts``/``--retry-delay``, per-point ``--timeout``,
   checkpoint ``--resume``); persists results as JSON.  Exit codes:
   0 = every point completed, 3 = completed with isolated failures
   (listed in the report), 1 = aborted past the failure budget.
 * ``report`` -- re-render Figures 6-9 and Tables 1-2 from cached
   results (``--cache-dir``) or a saved sweep file (``--results``).
-* ``bench`` -- cold-cache stage-timing measurement through
-  :mod:`repro.runner.bench`, with optional reference-simulator
-  verification and a baseline regression gate.
 * ``cache`` -- stats / prune / verify for an on-disk stage cache
   (``verify`` audits payload checksums and round-trip-validates
   persisted ``lowered`` circuits; ``stats`` reports raw vs. stored
@@ -37,14 +34,6 @@ import sys
 from typing import Optional, Sequence
 
 from ..network.braidsim import ENGINES
-from .bench import (
-    BENCH_GRIDS,
-    RATIO_SLACK,
-    BenchReport,
-    compare_engines,
-    compare_reports,
-    run_bench,
-)
 from .cache import StageCache
 from .faults import RetryPolicy, SweepAborted
 from .report import render_failures
@@ -58,6 +47,7 @@ from .sweep import (
     fig6_grid,
     fig6x_grid,
     journal_path,
+    tiny_grid,
 )
 
 __all__ = ["main", "build_parser"]
@@ -155,11 +145,6 @@ def _add_point_options(parser: argparse.ArgumentParser) -> None:
             "stage artifact before it enters the cache"
         ),
     )
-
-
-def _add_execution_options(
-    parser: argparse.ArgumentParser, workers: bool = True
-) -> None:
     parser.add_argument(
         "--engine",
         default="flat",
@@ -169,16 +154,6 @@ def _add_execution_options(
             "extra: pip install repro[vec])"
         ),
     )
-    if workers:
-        parser.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help=(
-                "process count (1 = serial through one shared cache; "
-                "keep 1 for comparable stage timings)"
-            ),
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", type=int, default=6, help="braid policy (0-8)"
     )
     _add_point_options(run)
-    _add_execution_options(run, workers=False)
     run.add_argument("--out", default=None, help="also write JSON here")
     run.add_argument(
         "--compact", action="store_true", help="single-line JSON output"
@@ -235,7 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--policies", default="6", help='policies: "6", "0,3,6", or "0-8"'
     )
     _add_point_options(sweep)
-    _add_execution_options(sweep)
+    sweep.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help=(
+            "process count (1 = serial through one shared cache; "
+            "keep 1 for comparable stage timings)"
+        ),
+    )
     sweep.add_argument(
         "--out", default=None, help="write the sweep results JSON here"
     )
@@ -248,11 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
             "abort once more than N points have failed (0 = fail fast, "
             "the default; negative = never abort, isolate everything)"
         ),
-    )
-    sweep.add_argument(
-        "--fail-fast",
-        action="store_true",
-        help="explicit spelling of --max-failures 0",
     )
     sweep.add_argument(
         "--max-attempts",
@@ -268,14 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "base exponential-backoff delay between attempts "
-            "(deterministically jittered; see --jitter-seed)"
+            "(deterministically jittered)"
         ),
-    )
-    sweep.add_argument(
-        "--jitter-seed",
-        type=int,
-        default=0,
-        help="seed for the deterministic backoff jitter",
     )
     sweep.add_argument(
         "--timeout",
@@ -302,69 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "JSON fault-injection plan (testing: see "
             "repro.runner.faults.FaultPlan)"
-        ),
-    )
-
-    bench = sub.add_parser(
-        "bench", help="measure cold-cache stage timings, gate regressions"
-    )
-    bench.add_argument(
-        "--grid",
-        choices=sorted(BENCH_GRIDS),
-        default="fig6",
-        help="bench grid preset",
-    )
-    bench.add_argument(
-        "--reference",
-        action="store_true",
-        help=(
-            "also time the pre-optimization reference simulator and "
-            "verify bit-identical results (enables the relative gate)"
-        ),
-    )
-    _add_execution_options(bench)
-    bench.add_argument(
-        "--out", default=None, help="write the bench report JSON here"
-    )
-    bench.add_argument(
-        "--not-slower-than",
-        default=None,
-        metavar="REPORT",
-        help=(
-            "saved bench report of another engine on the same grid; "
-            "fail if this run's braid speedup regresses below it by "
-            "more than --tolerance (both runs need --reference)"
-        ),
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        help=(
-            "baseline report to compare against (fail on regression; "
-            "gates every stage the baseline records, not just braid_sim)"
-        ),
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional regression against the baseline",
-    )
-    bench.add_argument(
-        "--ratio-slack",
-        type=float,
-        default=RATIO_SLACK,
-        help=(
-            "additive slack on reference-normalized stage ratios "
-            "(protects millisecond-scale stages from timer noise)"
-        ),
-    )
-    bench.add_argument(
-        "--absolute",
-        action="store_true",
-        help=(
-            "gate on absolute per-stage seconds instead of the "
-            "machine-independent reference-normalized ratios"
         ),
     )
 
@@ -551,16 +459,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             engine=args.engine,
         )
     max_failures: Optional[int] = args.max_failures
-    if args.fail_fast:
-        if max_failures != 0:
-            print(
-                "error: --fail-fast conflicts with a nonzero "
-                "--max-failures",
-                file=sys.stderr,
-            )
-            return 2
-        max_failures = 0
-    elif max_failures is not None and max_failures < 0:
+    if max_failures < 0:
         max_failures = None
     if args.resume and not args.out:
         print(
@@ -588,7 +487,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     retry = RetryPolicy(
         max_attempts=args.max_attempts,
         base_delay=args.retry_delay,
-        jitter_seed=args.jitter_seed,
         timeout_s=args.timeout,
     )
     journal = journal_path(args.out) if args.out else None
@@ -643,83 +541,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if result.ok else 3
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    reference = args.reference
-    if args.baseline and not args.absolute and not reference:
-        print(
-            "relative baseline gate needs the reference pass; "
-            "enabling --reference",
-            file=sys.stderr,
-        )
-        reference = True
-    if args.not_slower_than and not reference:
-        print(
-            "--not-slower-than compares braid speedups; "
-            "enabling --reference",
-            file=sys.stderr,
-        )
-        reference = True
-    report = run_bench(
-        grid=args.grid,
-        reference=reference,
-        workers=args.workers,
-        engine=args.engine,
-    )
-    print(json.dumps(report.to_jsonable(), indent=1, sort_keys=True))
-    if report.equivalence_checked:
-        print(
-            f"verified {report.equivalence_checked} braid points "
-            "bit-identical to the reference simulator",
-            file=sys.stderr,
-        )
-    if report.braid_speedup is not None:
-        print(
-            f"braid plan+sim: {report.braid_seconds:.2f}s optimized vs "
-            f"{report.reference_braid_seconds:.2f}s reference "
-            f"({report.braid_speedup:.2f}x)",
-            file=sys.stderr,
-        )
-    if args.out:
-        report.save(args.out)
-        print(f"bench report written to {args.out}", file=sys.stderr)
-    if args.baseline:
-        baseline = BenchReport.load(args.baseline)
-        failures = compare_reports(
-            report,
-            baseline,
-            tolerance=args.tolerance,
-            absolute=args.absolute,
-            ratio_slack=args.ratio_slack,
-        )
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        gated = sorted(baseline.stage_seconds)
-        print(
-            f"no regression against {args.baseline} "
-            f"(tolerance {args.tolerance:.0%}; gated stages: "
-            f"{', '.join(gated)})",
-            file=sys.stderr,
-        )
-    if args.not_slower_than:
-        other = BenchReport.load(args.not_slower_than)
-        failures = compare_engines(
-            report, other, tolerance=args.tolerance
-        )
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"engine {report.engine!r} ({report.braid_speedup:.2f}x) "
-            f"holds against {other.engine!r} "
-            f"({other.braid_speedup:.2f}x) from {args.not_slower_than}",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     if args.older_than_days is not None and args.action != "prune":
         print(
@@ -765,14 +586,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from ..analysis.verify import check_grid
-    from .bench import bench_grid
 
-    if args.grid == "fig6":
-        grid = fig6_grid()
-    elif args.grid == "fig6x":
-        grid = fig6x_grid()
-    else:
-        grid = bench_grid(args.grid)
+    grid = {"fig6": fig6_grid, "fig6x": fig6x_grid, "tiny": tiny_grid}[
+        args.grid
+    ]()
     cache = StageCache(args.cache_dir)
     report = check_grid(
         grid,
@@ -892,8 +709,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_run(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "cache":
             return _cmd_cache(args)
         if args.command == "check":

@@ -299,8 +299,9 @@ def compute_braid_plan(
     distance) design point: the sweep's multi-policy braid stage pays
     for task building, route binding, and DAG array extraction exactly
     once.  The stage is memory-only (plans hold live circuit/route
-    objects); its self time is what ``repro.runner.bench`` reports as
-    ``braid_plan``, separating plan builds from pure simulation time.
+    objects); its self time is reported as the ``braid_plan`` stage
+    (cache stats on ``run``/``sweep``), separating plan builds from
+    pure simulation time.
     """
     name, size = _resolve(app, size)
     key = StageKey.make(

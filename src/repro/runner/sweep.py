@@ -66,6 +66,7 @@ __all__ = [
     "SweepRunner",
     "fig6_grid",
     "fig6x_grid",
+    "tiny_grid",
     "journal_path",
     "load_journal",
     "SMALL_SIM_SIZES",
@@ -181,6 +182,18 @@ def fig6x_grid(sizes: Optional[Mapping[str, int]] = None) -> GridSpec:
         sizes=dict(sizes) if sizes is not None else dict(SMALL_SIM_SIZES),
         policies=tuple(range(9)),
         distance=5,
+    )
+
+
+def tiny_grid() -> GridSpec:
+    """A CI-sized grid: three small apps x the seven reactive policies
+    at d=3 (the sizes perfbench's ``tiny`` profile and the golden
+    equivalence tests use)."""
+    return GridSpec(
+        apps=("gse", "sq", "im"),
+        sizes={"gse": 3, "sq": 2, "im": 8},
+        policies=tuple(range(7)),
+        distance=3,
     )
 
 

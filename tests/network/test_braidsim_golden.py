@@ -5,9 +5,11 @@ epoch early-outs) must be *bit-identical* to the pre-optimization
 simulator preserved in ``repro.network._braidsim_reference`` -- same
 schedule lengths, same braid/adaptive/drop counters, same utilization
 floats.  These tests sweep every policy over small application
-instances and over synthetic high-contention circuits (which exercise
-adaptive routing and the drop/re-inject path); the full Figure 6 grid
-is verified by ``python -m repro bench --reference`` (the CI perf job).
+instances -- the CI-sized ``tiny_grid()`` points, through both the
+flat and the vec engine -- and over synthetic high-contention circuits
+(which exercise adaptive routing and the drop/re-inject path); the
+full Figure 6 grid is verified against the reference loop whenever the
+benchmark's expected outputs are recorded (``perfbench/record.py``).
 
 The scheduler-family policies (7 reservation-table, 8 matrix-
 scoreboard) predate no seed loop to compare against, so their contract
@@ -26,6 +28,7 @@ import pytest
 from repro.network import (
     BraidMesh,
     BraidSimConfig,
+    braidsim_vec,
     simulate_braids,
     simulate_braids_reference,
 )
@@ -34,7 +37,12 @@ from repro.network.plan import BraidPlan
 from repro.partition import GridShape, naive_layout
 from repro.qasm import Circuit
 from repro.runner import StageCache
-from repro.runner.stages import POLICIES, compute_frontend, compute_layout
+from repro.runner.stages import (
+    POLICIES,
+    compute_braid,
+    compute_frontend,
+    compute_layout,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "golden_policy_sched.json"
 
@@ -100,19 +108,31 @@ class TestApplicationInstances:
         return StageCache()
 
     @pytest.mark.parametrize("policy", range(7))
-    @pytest.mark.parametrize("app,size", [("sq", 2), ("gse", 3)])
+    @pytest.mark.parametrize(
+        "app,size", [("sq", 2), ("gse", 3), ("im", 8)]
+    )
     def test_policy_grid(self, cache, app, size, policy):
+        """Both engines match the seed loop on every tiny-grid point."""
         fe = compute_frontend(cache, app, size, None)
         optimize = POLICIES[policy].optimized_layout
         machine = compute_layout(cache, app, size, None, optimize)
-        optimized = machine.simulate(POLICIES[policy], 3, dag=fe.dag)
         mesh = BraidMesh(machine.grid.rows, machine.grid.cols)
         reference = simulate_braids_reference(
             machine.circuit, machine.placement, mesh, policy, 3,
             code=machine.code, factory_routers=machine.factory_routers,
             dag=fe.dag,
         )
-        assert optimized == reference
+
+        def braid(engine):
+            return compute_braid(
+                cache, app, size, None, policy=policy, distance=3,
+                engine=engine,
+            )
+
+        assert braid("flat") == reference
+        if braidsim_vec.np is None:
+            pytest.skip("vec engine needs the numpy optional extra")
+        assert braid("vec") == reference
 
     @pytest.mark.parametrize(
         "policy,distance",

@@ -6,8 +6,9 @@ maintenance; these tests drive them through randomized add / remove /
 re-stamp churn and assert the produced order matches
 ``Policy.open_sort_key`` — the same oracle the reference simulator
 sorts with — at every step.  Full-simulation equivalence for the
-policies that use the queues is covered by the golden tests and the
-bench ``--reference`` pass.
+policies that use the queues is covered by the golden tests, which
+compare both engines against the reference loop on every
+``tiny_grid()`` point.
 """
 
 import random

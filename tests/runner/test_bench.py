@@ -1,19 +1,7 @@
-"""Bench harness: stage timing capture, reference gate, baselines."""
+"""Timing and grid facts the benchmark reads: per-stage self time from
+``SweepRunner``, the ``braid_plan``/``braid_sim`` split, and the fig6 grid."""
 
-import json
-
-import pytest
-
-from repro.network import braidsim_vec
-from repro.runner import GridSpec, SweepRunner
-from repro.runner.bench import (
-    BENCH_GRIDS,
-    BenchReport,
-    bench_grid,
-    compare_engines,
-    compare_reports,
-    run_bench,
-)
+from repro.runner import GridSpec, SweepRunner, fig6_grid
 
 TINY = GridSpec(
     apps=("sq",), sizes={"sq": 2}, policies=(0, 6), distance=3
@@ -21,56 +9,8 @@ TINY = GridSpec(
 
 
 class TestGridPresets:
-    def test_presets_resolve(self):
-        for name in BENCH_GRIDS:
-            spec = bench_grid(name)
-            assert spec.expand(), name
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(KeyError, match="unknown bench grid"):
-            bench_grid("nope")
-
     def test_fig6_preset_is_the_paper_grid(self):
-        assert len(bench_grid("fig6").expand()) == 28
-
-
-class TestRunBench:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return run_bench(TINY, reference=True)
-
-    def test_stage_seconds_recorded(self, report):
-        assert report.grid == "custom"
-        assert report.points == 2
-        assert report.stage_seconds["braid_sim"] > 0
-        assert report.stage_seconds["frontend"] > 0
-        assert report.total_seconds >= report.stage_seconds["braid_sim"]
-
-    def test_reference_pass_verified(self, report):
-        assert report.equivalence_checked == 2
-        assert report.reference_braid_seconds is not None
-        assert report.braid_speedup is not None
-
-    def test_without_reference(self):
-        report = run_bench(TINY)
-        assert report.reference_braid_seconds is None
-        assert report.braid_speedup is None
-        assert report.equivalence_checked == 0
-
-    def test_round_trip(self, report, tmp_path):
-        path = tmp_path / "bench.json"
-        report.save(path)
-        loaded = BenchReport.load(path)
-        assert loaded == report
-        assert json.loads(path.read_text())["format"] == 1
-
-    def test_unknown_format_rejected(self, report, tmp_path):
-        path = tmp_path / "bench.json"
-        payload = report.to_jsonable()
-        payload["format"] = 99
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError, match="format"):
-            BenchReport.load(path)
+        assert len(fig6_grid().expand()) == 28
 
 
 class TestTimingAttribution:
@@ -91,244 +31,14 @@ class TestTimingAttribution:
         assert stats.stage_seconds("point") < total_children
 
 
-def _report(**overrides) -> BenchReport:
-    base = dict(
-        grid="tiny",
-        points=21,
-        workers=1,
-        stage_seconds={"braid_sim": 2.0},
-        total_seconds=4.0,
-        reference_braid_seconds=10.0,
-        braid_speedup=5.0,
-        equivalence_checked=21,
-    )
-    base.update(overrides)
-    return BenchReport(**base)
-
-
-class TestCompareReports:
-    def test_no_regression(self):
-        assert compare_reports(_report(), _report()) == []
-
-    def test_speedup_regression_detected(self):
-        current = _report(braid_speedup=3.0)
-        failures = compare_reports(current, _report(), tolerance=0.25)
-        assert failures and "speedup regressed" in failures[0]
-
-    def test_within_tolerance_passes(self):
-        current = _report(braid_speedup=4.0)
-        assert compare_reports(current, _report(), tolerance=0.25) == []
-
-    def test_absolute_mode(self):
-        current = _report(stage_seconds={"braid_sim": 3.0})
-        assert compare_reports(
-            current, _report(), tolerance=0.25, absolute=True
-        )
-        assert (
-            compare_reports(
-                current, _report(), tolerance=0.6, absolute=True
-            )
-            == []
-        )
-
-    def test_grid_mismatch_fails(self):
-        failures = compare_reports(_report(grid="fig6"), _report())
-        assert failures and "grid mismatch" in failures[0]
-
-    def test_missing_speedup_fails(self):
-        failures = compare_reports(
-            _report(braid_speedup=None), _report()
-        )
-        assert failures and "braid_speedup" in failures[0]
-
-
-class TestAllStageGate:
-    """Every baseline stage is gated, not just braid_sim."""
-
-    def test_stage_ratio_normalizes_by_reference(self):
-        report = _report(stage_seconds={"braid_sim": 2.0, "accounting": 1.0})
-        assert report.stage_ratio("accounting") == pytest.approx(0.1)
-        assert report.stage_ratio("absent") == pytest.approx(0.0)
-
-    def test_stage_ratio_none_without_reference(self):
-        report = _report(reference_braid_seconds=None, braid_speedup=None)
-        assert report.stage_ratio("braid_sim") is None
-
-    def test_stage_regression_detected(self):
-        baseline = _report(
-            stage_seconds={"braid_sim": 2.0, "accounting": 1.0}
-        )
-        current = _report(
-            stage_seconds={"braid_sim": 2.0, "accounting": 3.0}
-        )
-        failures = compare_reports(current, baseline, tolerance=0.25)
-        assert failures and "accounting regressed" in failures[0]
-
-    def test_stage_within_tolerance_passes(self):
-        baseline = _report(
-            stage_seconds={"braid_sim": 2.0, "accounting": 1.0}
-        )
-        current = _report(
-            stage_seconds={"braid_sim": 2.0, "accounting": 1.1}
-        )
-        assert compare_reports(current, baseline, tolerance=0.25) == []
-
-    def test_millisecond_stage_protected_by_slack(self):
-        # 10ms -> 150ms is a 15x blowup but only ~1.4% of the
-        # reference yardstick: inside the additive slack, not flaky.
-        baseline = _report(
-            stage_seconds={"braid_sim": 2.0, "layout": 0.01}
-        )
-        current = _report(
-            stage_seconds={"braid_sim": 2.0, "layout": 0.15}
-        )
-        assert compare_reports(current, baseline, tolerance=0.25) == []
-        # A genuinely large blowup still fails.
-        blown = _report(stage_seconds={"braid_sim": 2.0, "layout": 0.6})
-        assert compare_reports(blown, baseline, tolerance=0.25)
-
-    def test_new_stage_not_gated_until_baseline_rerecorded(self):
-        baseline = _report(stage_seconds={"braid_sim": 2.0})
-        current = _report(
-            stage_seconds={"braid_sim": 2.0, "scaling": 99.0}
-        )
-        assert compare_reports(current, baseline) == []
-
-    def test_stage_missing_from_current_fails(self):
-        baseline = _report(
-            stage_seconds={"braid_sim": 2.0, "frontend": 1.0}
-        )
-        current = _report(stage_seconds={"braid_sim": 2.0})
-        failures = compare_reports(current, baseline)
-        assert failures and "frontend missing" in failures[0]
-
-    def test_absolute_mode_gates_every_stage(self):
-        baseline = _report(
-            stage_seconds={"braid_sim": 2.0, "accounting": 1.0}
-        )
-        current = _report(
-            stage_seconds={"braid_sim": 2.0, "accounting": 2.0}
-        )
-        failures = compare_reports(
-            current, baseline, tolerance=0.25, absolute=True
-        )
-        assert failures and "accounting regressed" in failures[0]
-
-    def test_absolute_slack_protects_tiny_stages(self):
-        baseline = _report(stage_seconds={"braid_sim": 2.0, "point": 0.01})
-        current = _report(stage_seconds={"braid_sim": 2.0, "point": 0.1})
-        assert (
-            compare_reports(
-                current, baseline, tolerance=0.25, absolute=True
-            )
-            == []
-        )
-
-
-class TestEngineAxis:
-    """The engine axis: recorded in reports, raced by compare_engines."""
-
-    def test_environment_records_run_config(self):
-        report = run_bench(TINY)
-        env = report.environment
-        assert env["workers"] == report.workers == 1
-        assert env["cpus"] >= 1
-        # numpy is recorded as its version string, or None when the
-        # vec extra is not installed — never missing.
-        assert "numpy" in env
-        if braidsim_vec.np is not None:
-            assert env["numpy"] == braidsim_vec.np.__version__
-
-    def test_default_engine_is_flat(self):
-        assert run_bench(TINY).engine == "flat"
-
-    def test_pre_engine_reports_load_as_flat(self, tmp_path):
-        payload = _report().to_jsonable()
-        del payload["engine"]
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert BenchReport.load(path).engine == "flat"
-
-    def test_reports_with_cache_health_load(self, tmp_path):
-        payload = _report().to_jsonable()
-        assert "cache_health" not in payload
-        payload["cache_health"] = None
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert BenchReport.load(path) == _report()
-
-    @pytest.mark.skipif(
-        braidsim_vec.np is None, reason="vec engine needs numpy"
-    )
-    def test_vec_engine_bench_verifies_against_reference(self, tmp_path):
-        report = run_bench(TINY, reference=True, engine="vec")
-        assert report.engine == "vec"
-        assert report.equivalence_checked == 2
-        path = tmp_path / "vec.json"
-        report.save(path)
-        assert BenchReport.load(path) == report
-
-    def test_explicit_grid_engine_is_kept(self):
-        grid = GridSpec(
-            apps=("sq",), sizes={"sq": 2}, policies=(0,), distance=3,
-            engine="flat",
-        )
-        # engine=None must not reset a grid's own engine choice.
-        assert run_bench(grid).engine == "flat"
-
-
-class TestCompareEngines:
-    def test_not_slower_passes(self):
-        vec = _report(braid_speedup=8.0, engine="vec")
-        assert compare_engines(vec, _report()) == []
-
-    def test_regression_below_floor_fails(self):
-        vec = _report(braid_speedup=3.0, engine="vec")
-        failures = compare_engines(vec, _report(), tolerance=0.25)
-        assert failures and "regressed below" in failures[0]
-        assert "'vec'" in failures[0] and "'flat'" in failures[0]
-
-    def test_within_tolerance_passes(self):
-        vec = _report(braid_speedup=4.0, engine="vec")
-        assert compare_engines(vec, _report(), tolerance=0.25) == []
-
-    def test_grid_mismatch_fails(self):
-        failures = compare_engines(_report(grid="fig6"), _report())
-        assert failures and "grid mismatch" in failures[0]
-
-    def test_missing_reference_pass_fails(self):
-        failures = compare_engines(
-            _report(braid_speedup=None), _report()
-        )
-        assert failures and "reference passes" in failures[0]
-        failures = compare_engines(
-            _report(), _report(braid_speedup=None)
-        )
-        assert failures and "reference passes" in failures[0]
-
-
 class TestPlanBuildSplit:
-    """Plan builds are reported separately from pure simulation time."""
+    """Plan builds are recorded separately from pure simulation time."""
 
     def test_braid_plan_split_in_report(self):
-        report = run_bench(TINY)
-        assert report.stage_seconds.get("braid_plan", 0) > 0
-        assert report.stage_seconds.get("braid_sim", 0) > 0
-        assert report.braid_seconds == pytest.approx(
-            report.stage_seconds["braid_sim"]
-            + report.stage_seconds["braid_plan"]
-        )
-
-    def test_plan_time_counted_in_speedup_not_ratio_gate(self):
-        baseline = _report(
-            stage_seconds={"braid_sim": 1.5, "braid_plan": 0.5}
-        )
-        # A plan blowup alone cannot slip past the gate: it lowers the
-        # measured speedup instead of hiding behind the ratio slack.
-        current = _report(
-            stage_seconds={"braid_sim": 1.5, "braid_plan": 3.0},
-            braid_speedup=10.0 / 4.5,
-        )
-        failures = compare_reports(current, baseline, tolerance=0.25)
-        assert failures and "speedup regressed" in failures[0]
-        assert all("braid_plan" not in f for f in failures)
+        stats = SweepRunner().run(TINY).stats
+        # One plan build per point, each its own stage rather than folded
+        # into the simulation that uses it.
+        assert stats.computed("braid_plan") == 2
+        assert stats.computed("braid_sim") == 2
+        assert stats.stage_seconds("braid_plan") > 0
+        assert stats.stage_seconds("braid_sim") > 0
