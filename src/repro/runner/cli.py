@@ -33,7 +33,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from ..network.braidsim import ENGINES
 from .cache import StageCache
 from .faults import RetryPolicy, SweepAborted
 from .report import render_failures
@@ -143,15 +142,6 @@ def _add_point_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "run the repro.analysis IR verifier over every compiled "
             "stage artifact before it enters the cache"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        default="flat",
-        choices=sorted(ENGINES),
-        help=(
-            "braid engine (bit-identical results; vec needs the numpy "
-            "extra: pip install repro[vec])"
         ),
     )
 
@@ -390,7 +380,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         error_rate=args.error_rate,
         distance=args.distance,
         window=args.window,
-        engine=args.engine,
     )
     cache = StageCache(args.cache_dir)
     result = run_point(spec, cache)
@@ -441,7 +430,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             distance=(
                 args.distance if args.distance is not None else grid.distance
             ),
-            engine=args.engine,
         )
     else:
         grid = GridSpec(
@@ -456,7 +444,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             error_rate=args.error_rate,
             distance=args.distance,
             window=args.window,
-            engine=args.engine,
         )
     max_failures: Optional[int] = args.max_failures
     if max_failures < 0:
@@ -514,12 +501,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     print(f"cache: {result.stats.summary()}", file=sys.stderr)
-    if result.degraded:
-        print(
-            f"{len(result.degraded)} point(s) degraded to the flat "
-            "engine",
-            file=sys.stderr,
-        )
     if not result.ok:
         print(render_failures(result.failures), file=sys.stderr)
     if args.out:
@@ -719,8 +700,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         # Downstream reader (e.g. `| head`) closed stdout early.
         return 0
-    except ImportError as error:
-        # Optional-dependency miss (e.g. --engine vec without numpy):
-        # surface the install hint instead of a traceback.
-        print(f"error: {error}", file=sys.stderr)
-        return 2

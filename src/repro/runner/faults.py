@@ -6,15 +6,13 @@ the whole sweep.  This module provides the primitives the
 :class:`~repro.runner.sweep.SweepRunner` builds on:
 
 * :class:`RetryPolicy` -- bounded attempts with deterministic
-  exponential backoff (jitter derived from a seed, never from
-  wall-clock entropy) and an optional per-point deadline.
+  exponential backoff (jitter derived from the point's identity, never
+  from wall-clock entropy) and an optional per-point deadline.
 * :class:`PointFailure` -- the structured record a failed grid point
   leaves behind (spec, failing stage, exception repr, attempts,
   elapsed), JSON round-trippable so sweep reports carry it.
 * :func:`execute_point` -- run one grid point under a policy: catch,
-  retry with backoff, enforce the deadline, and degrade ``vec`` points
-  to the ``flat`` engine (tagging the result ``degraded_from``) before
-  giving up.
+  retry with backoff and enforce the deadline before giving up.
 * :exc:`SweepAborted` -- raised by the runner when failures exceed its
   ``max_failures`` budget (``0`` keeps the historical fail-fast
   behavior).
@@ -99,6 +97,13 @@ def failure_stage(error: BaseException) -> str:
     return getattr(error, "_repro_stage", "point")
 
 
+BACKOFF = 2.0
+"""Exponential growth factor between retry attempts."""
+
+MAX_DELAY = 30.0
+"""Upper bound on any single backoff sleep, in seconds."""
+
+
 @dataclasses.dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries with deterministic exponential backoff.
@@ -106,43 +111,36 @@ class RetryPolicy:
     Attributes:
         max_attempts: Attempts per point (1 = no retry).
         base_delay: Backoff before attempt 2 in seconds; attempt ``n``
-            waits ``base_delay * backoff**(n-2)`` (capped by
-            ``max_delay``) plus deterministic jitter.
-        backoff: Exponential growth factor between attempts.
-        max_delay: Upper bound on any single backoff sleep.
-        jitter_seed: Seed for the deterministic jitter fraction (the
-            jitter is a hash of seed, point identity, and attempt --
-            never wall-clock entropy, so schedules replay exactly).
+            waits ``base_delay * BACKOFF**(n-2)`` plus deterministic
+            jitter, capped at ``MAX_DELAY``.
         timeout_s: Per-point deadline in seconds (None = unbounded).
     """
 
     max_attempts: int = 1
     base_delay: float = 0.0
-    backoff: float = 2.0
-    max_delay: float = 30.0
-    jitter_seed: int = 0
     timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.backoff < 1:
-            raise ValueError("base_delay must be >= 0 and backoff >= 1")
+        if self.base_delay < 0:
+            raise ValueError("base_delay must be >= 0")
 
     def delay(self, attempt: int, token: str = "") -> float:
         """Backoff before ``attempt`` (2-based; attempt 1 never waits).
 
-        The jitter fraction in ``[0, 1)`` is derived from
-        ``(jitter_seed, token, attempt)`` so two processes retrying the
-        same point desynchronize identically on every replay.
+        The jitter fraction in ``[0, 1)`` is a hash of ``(token,
+        attempt)`` -- never wall-clock entropy -- so two processes
+        retrying the same point desynchronize identically on every
+        replay.
         """
         if attempt <= 1 or self.base_delay <= 0:
             return 0.0
-        raw = self.base_delay * self.backoff ** (attempt - 2)
-        seed = f"{self.jitter_seed}:{token}:{attempt}".encode("utf-8")
+        raw = self.base_delay * BACKOFF ** (attempt - 2)
+        seed = f"{token}:{attempt}".encode("utf-8")
         word = int.from_bytes(hashlib.sha256(seed).digest()[:8], "big")
         jitter = word / 2**64  # deterministic fraction in [0, 1)
-        return min(raw * (1.0 + jitter), self.max_delay)
+        return min(raw * (1.0 + jitter), MAX_DELAY)
 
     def to_jsonable(self) -> dict:
         return dataclasses.asdict(self)
@@ -163,8 +161,7 @@ class PointFailure:
             crashes the pool could not recover from).
         error: ``repr`` of the final exception.
         error_type: Final exception class name.
-        attempts: How many executions were tried (degradation retries
-            included).
+        attempts: How many executions were tried.
         elapsed_seconds: Wall-clock spent across every attempt.
     """
 
@@ -244,8 +241,8 @@ class FaultAction:
             (1-based; counters are per process).
         seconds: Sleep/stall duration.
         match: Optional substring that must appear in the stage key's
-            canonical description (e.g. ``'"engine": "vec"'`` to hit
-            only vec-engine simulations).
+            canonical description (e.g. ``'"policy": 0'`` to hit
+            only policy-0 simulations).
         once: Fire at most once.  With a plan ``state_dir`` the marker
             is a file, so the "once" holds across worker processes --
             a killed-and-restarted worker does not re-fire.
@@ -509,20 +506,14 @@ def execute_point(
     spec: "PointSpec",
     cache,
     retry: Optional[RetryPolicy] = None,
-    degrade: bool = True,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Union["PointResult", "PointFailure"]:
     """Run one grid point under a retry policy; never raises.
 
     The point is attempted up to ``retry.max_attempts`` times with
     deterministic backoff between attempts and the per-point deadline
-    enforced on each.  A non-``flat`` engine point whose attempts are
-    exhausted -- or that fails immediately with :exc:`ImportError`
-    (missing optional dependency, unfixable by retrying) -- is retried
-    once on the ``flat`` engine; that result is tagged
-    ``degraded_from`` and is **not** written back under the original
-    engine's point key, so caches never mix engines.  Exhausted points
-    return a :class:`PointFailure` instead of raising.
+    enforced on each.  Exhausted points return a :class:`PointFailure`
+    instead of raising.
     """
     from .stages import run_point
 
@@ -530,10 +521,8 @@ def execute_point(
     spec = spec.normalized()
     token = spec.key().digest
     start = time.perf_counter()
-    attempts = 0
     last_error: Optional[BaseException] = None
     for attempt in range(1, retry.max_attempts + 1):
-        attempts = attempt
         pause = retry.delay(attempt, token)
         if pause:
             sleep(pause)
@@ -543,30 +532,6 @@ def execute_point(
                 retry.timeout_s,
                 label=f"point {spec.app}[{spec.size}] p{spec.policy}",
             )
-        except ImportError as error:
-            # Optional-dependency miss (e.g. engine="vec" without
-            # numpy): retrying the same engine cannot succeed.
-            last_error = error
-            break
-        except Exception as error:  # noqa: BLE001 - isolation boundary
-            last_error = error
-    if degrade and spec.engine != "flat":
-        fallback = dataclasses.replace(spec, engine="flat")
-        attempts += 1
-        try:
-            result = call_with_deadline(
-                lambda: run_point(fallback, cache),
-                retry.timeout_s,
-                label=(
-                    f"point {spec.app}[{spec.size}] p{spec.policy} "
-                    "(degraded)"
-                ),
-            )
-            # Re-home the result on the original spec and tag it; the
-            # flat computation stayed cached under flat-engine keys.
-            return dataclasses.replace(
-                result, spec=spec, degraded_from=spec.engine
-            )
         except Exception as error:  # noqa: BLE001 - isolation boundary
             last_error = error
     assert last_error is not None
@@ -575,6 +540,6 @@ def execute_point(
         stage=failure_stage(last_error),
         error=repr(last_error),
         error_type=type(last_error).__name__,
-        attempts=attempts,
+        attempts=retry.max_attempts,
         elapsed_seconds=time.perf_counter() - start,
     )

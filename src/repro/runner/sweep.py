@@ -104,8 +104,6 @@ class GridSpec:
             ``error_rate`` when given.
         distance: Code distance override for simulations.
         window: EPR look-ahead window.
-        engine: Braid engine for every point
-            (:data:`repro.network.braidsim.ENGINES`).
     """
 
     apps: tuple[str, ...] = DEFAULT_APPS
@@ -118,7 +116,6 @@ class GridSpec:
     error_rates: Optional[tuple[Optional[float], ...]] = None
     distance: Optional[int] = None
     window: int = 64
-    engine: str = "flat"
 
     def _app_sizes(self, app: str) -> tuple[Optional[int], ...]:
         if self.sizes is None:
@@ -154,7 +151,6 @@ class GridSpec:
                                 error_rate=error_rate,
                                 distance=self.distance,
                                 window=self.window,
-                                engine=self.engine,
                             ).normalized()
                             digest = spec.key().digest
                             if digest not in seen:
@@ -221,11 +217,6 @@ class SweepResult:
     def ok(self) -> bool:
         """True when every grid point completed."""
         return not self.failures
-
-    @property
-    def degraded(self) -> list[PointResult]:
-        """Points that fell back to the ``flat`` engine."""
-        return [p for p in self.points if p.degraded_from is not None]
 
     def to_jsonable(self) -> dict:
         return {
@@ -525,13 +516,13 @@ class SweepRunner:
         worker wedged *outside* it (e.g. stuck before the point even
         starts).  A worker serializes at most ``ceil(chunks /
         workers)`` chunks, each point of which gets its full retry
-        schedule plus one degradation attempt; ``pool_grace`` covers
-        process startup and backoff sleeps on top.
+        schedule; ``pool_grace`` covers process startup and backoff
+        sleeps on top.
         """
         timeout_s = self.retry.timeout_s
         if timeout_s is None:
             return None
-        per_point = timeout_s * (self.retry.max_attempts + 1)
+        per_point = timeout_s * self.retry.max_attempts
         longest = max(len(chunk) for _, chunk, _ in batch)
         waves = math.ceil(len(batch) / max(1, max_workers))
         return per_point * longest * waves + self.pool_grace

@@ -39,7 +39,7 @@ from repro.qasm import Circuit
 from repro.runner import StageCache
 from repro.runner.stages import (
     POLICIES,
-    compute_braid,
+    compute_braid_plan,
     compute_frontend,
     compute_layout,
 )
@@ -123,11 +123,10 @@ class TestApplicationInstances:
             dag=fe.dag,
         )
 
+        plan = compute_braid_plan(cache, app, size, None, optimize, 3)
+
         def braid(engine):
-            return compute_braid(
-                cache, app, size, None, policy=policy, distance=3,
-                engine=engine,
-            )
+            return simulate_plan(plan, POLICIES[policy], engine=engine)
 
         assert braid("flat") == reference
         if braidsim_vec.np is None:

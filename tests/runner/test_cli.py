@@ -42,38 +42,18 @@ class TestArgParsing:
 
 
 class TestEngineFlags:
-    def test_engine_choices_on_run_sweep(self):
-        parser = build_parser()
-        for argv in (
-            ["run", "sq", "--engine", "vec"],
-            ["sweep", "--apps", "sq", "--engine", "vec"],
-        ):
-            assert parser.parse_args(argv).engine == "vec"
-        assert parser.parse_args(["run", "sq"]).engine == "flat"
-        assert parser.parse_args(["sweep"]).engine == "flat"
-
-    def test_unknown_engine_rejected(self):
-        for command in (["run", "sq"], ["sweep"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([*command, "--engine", "turbo"])
-
-    def test_missing_numpy_is_a_clean_cli_error(self, monkeypatch, capsys):
-        def boom(spec, cache):
-            raise ImportError("vec engine needs numpy (repro[vec])")
-
-        monkeypatch.setattr("repro.runner.cli.run_point", boom)
-        assert main(["run", "sq", "--size", "2", "--engine", "vec"]) == 2
-        assert "error: vec engine needs numpy" in capsys.readouterr().err
-
     def test_retired_options_rejected(self, capsys):
         parser = build_parser()
         for argv in (
             ["bench"],
             ["sweep", "--fail-fast"],
             ["sweep", "--jitter-seed", "1"],
+            ["run", "sq", "--engine", "vec"],
+            ["sweep", "--engine", "vec"],
         ):
-            with pytest.raises(SystemExit):
+            with pytest.raises(SystemExit) as exit_info:
                 parser.parse_args(argv)
+            assert exit_info.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 

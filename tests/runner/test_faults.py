@@ -1,8 +1,7 @@
 """Fault-tolerant sweep execution: isolation, retry/timeout/backoff,
-checkpoint-resume, quarantine, engine degradation, and the seeded
-fault-injection harness driving all of it deterministically."""
+checkpoint-resume, quarantine, and the seeded fault-injection harness
+driving all of it deterministically."""
 
-import dataclasses
 import json
 
 import pytest
@@ -22,7 +21,8 @@ from repro.runner import (
     run_point,
     set_fault_plan,
 )
-from repro.runner.faults import call_with_deadline
+from repro.runner.cli import main
+from repro.runner.faults import MAX_DELAY, call_with_deadline
 from repro.runner.sweep import journal_path, load_journal
 
 # Tiny instances keep every simulation in the milliseconds range.
@@ -51,9 +51,7 @@ class TestRetryPolicy:
         assert policy.delay(1, "token") == 0.0
 
     def test_backoff_grows_and_replays_deterministically(self):
-        policy = RetryPolicy(
-            max_attempts=4, base_delay=0.1, jitter_seed=7
-        )
+        policy = RetryPolicy(max_attempts=4, base_delay=0.1)
         delays = [policy.delay(n, "tok") for n in (2, 3, 4)]
         again = [policy.delay(n, "tok") for n in (2, 3, 4)]
         assert delays == again
@@ -62,16 +60,12 @@ class TestRetryPolicy:
         assert 0.1 <= delays[0] <= 0.2
 
     def test_jitter_depends_on_seed_and_token(self):
-        a = RetryPolicy(max_attempts=2, base_delay=0.1, jitter_seed=1)
-        b = RetryPolicy(max_attempts=2, base_delay=0.1, jitter_seed=2)
-        assert a.delay(2, "tok") != b.delay(2, "tok")
-        assert a.delay(2, "tok") != a.delay(2, "other")
+        policy = RetryPolicy(max_attempts=2, base_delay=0.1)
+        assert policy.delay(2, "tok") != policy.delay(2, "other")
 
     def test_max_delay_caps(self):
-        policy = RetryPolicy(
-            max_attempts=9, base_delay=10.0, max_delay=0.5
-        )
-        assert policy.delay(9, "t") == 0.5
+        policy = RetryPolicy(max_attempts=9, base_delay=10.0)
+        assert policy.delay(9, "t") == MAX_DELAY
 
     def test_round_trip(self):
         policy = RetryPolicy(
@@ -114,8 +108,6 @@ class TestSweepResultSchema:
         payload = result.to_jsonable()
         del payload["schema"]
         del payload["failures"]
-        for point in payload["points"]:
-            del point["degraded_from"]
         loaded = SweepResult.from_jsonable(payload)
         assert loaded.ok
         assert _jsonable(loaded.points) == _jsonable(result.points)
@@ -128,6 +120,35 @@ class TestSweepResultSchema:
         loaded = SweepResult.from_jsonable(payload)
         assert loaded.stats.as_dict() == result.stats.as_dict()
         assert _jsonable(loaded.points) == _jsonable(result.points)
+
+    def test_payload_with_engine_keys_loads(self, tmp_path, capsys):
+        """Reports saved while points carried a braid-engine field
+        (and a vec-to-flat ``degraded_from`` tag) still load and
+        render; every engine gave bit-identical results."""
+        result = SweepRunner().run(TINY)
+        payload = result.to_jsonable()
+        for point in payload["points"]:
+            point["spec"]["engine"] = "vec"
+            point["degraded_from"] = "vec"
+        failed = PointFailure(
+            spec=PointSpec(app="sq", size=2, policy=1, distance=3),
+            stage="braid_sim",
+            error="InjectedFault('x')",
+            error_type="InjectedFault",
+            attempts=2,
+            elapsed_seconds=0.1,
+        ).to_jsonable()
+        failed["spec"]["engine"] = "vec"
+        payload["failures"] = [failed]
+        loaded = SweepResult.from_jsonable(payload)
+        assert _jsonable(loaded.points) == _jsonable(result.points)
+        assert loaded.failures[0].spec.policy == 1
+        path = tmp_path / "parent.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["report", "fig6", "--results", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "sq" in out and "gse" in out
+        assert "FAILED sq[2] policy=1: InjectedFault" in err
 
     def test_newer_schema_rejected(self):
         with pytest.raises(ValueError, match="newer"):
@@ -331,111 +352,6 @@ class TestDeadline:
         assert outcome.error_type == "PointTimeout"
 
 
-class TestDegradation:
-    def test_vec_failure_degrades_to_flat(self):
-        # The vec attempt always dies; the flat fallback must carry the
-        # point with an explicit tag (works with or without numpy: a
-        # missing numpy raises ImportError before the injection point).
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="raise",
-                        stage="braid_sim",
-                        match='"engine": "vec"',
-                        once=False,
-                    )
-                ]
-            )
-        )
-        grid = dataclasses.replace(TINY, engine="vec")
-        result = SweepRunner(max_failures=None).run(grid)
-        assert result.ok
-        assert len(result.degraded) == 4
-        for point in result.points:
-            assert point.spec.engine == "vec"
-            assert point.degraded_from == "vec"
-
-    def test_degraded_results_match_flat_run(self):
-        clean = SweepRunner().run(TINY)
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="raise",
-                        stage="braid_sim",
-                        match='"engine": "vec"',
-                        once=False,
-                    )
-                ]
-            )
-        )
-        degraded = SweepRunner(max_failures=None).run(
-            dataclasses.replace(TINY, engine="vec")
-        )
-        # Identical numbers: only the spec engine and the tag differ.
-        for clean_p, degraded_p in zip(
-            clean.points, degraded.points
-        ):
-            assert degraded_p.braid == clean_p.braid
-            assert degraded_p.epr == clean_p.epr
-
-    def test_degraded_point_not_cached_under_vec_key(self, tmp_path):
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="raise",
-                        stage="braid_sim",
-                        match='"engine": "vec"',
-                        once=False,
-                    )
-                ]
-            )
-        )
-        cache = StageCache(tmp_path)
-        spec = PointSpec(
-            app="sq", size=2, policy=6, distance=3, engine="vec"
-        )
-        outcome = execute_point(spec, cache)
-        assert outcome.degraded_from == "vec"
-        # The vec point key must stay empty (caches never mix
-        # engines); the flat key holds the computed result.
-        assert cache.load_payload(spec.normalized().key()) is None
-        flat = dataclasses.replace(spec, engine="flat")
-        assert cache.load_payload(flat.normalized().key()) is not None
-
-    def test_import_error_skips_remaining_vec_attempts(
-        self, monkeypatch
-    ):
-        base = run_point(
-            PointSpec(app="sq", size=2, policy=6, distance=3),
-            StageCache(),
-        )
-        engines = []
-
-        def fake_run_point(spec, cache=None):
-            engines.append(spec.engine)
-            if spec.engine == "vec":
-                raise ImportError("numpy is required for engine='vec'")
-            return base
-
-        monkeypatch.setattr(
-            "repro.runner.stages.run_point", fake_run_point
-        )
-        outcome = execute_point(
-            PointSpec(
-                app="sq", size=2, policy=6, distance=3, engine="vec"
-            ),
-            StageCache(),
-            RetryPolicy(max_attempts=3),
-        )
-        # ImportError is unfixable by retrying: one vec attempt, then
-        # straight to the flat fallback.
-        assert engines == ["vec", "flat"]
-        assert outcome.degraded_from == "vec"
-
-
 class TestQuarantine:
     def test_corrupt_entry_quarantined_on_load(self, tmp_path):
         cache = StageCache(tmp_path)
@@ -605,9 +521,9 @@ class TestWorkerCrashRecovery:
         assert result.failures[0].error_type == "InjectedFault"
 
     def test_stalled_worker_recycled_by_watchdog(self, tmp_path):
-        # Budget math: per_point = 1.5s x (2 attempts + 1 degradation)
-        # x longest chunk (2) x 1 wave + 1s grace = 10s watchdog; the
-        # 20s stall is safely past it.  Two attempts at 1.5s each per
+        # Budget math: per_point = 1.5s x 2 attempts x longest chunk
+        # (2) x 1 wave + 1s grace = 7s watchdog; the 20s stall is
+        # safely past it.  Two attempts at 1.5s each per
         # millisecond-scale point keep a heavily loaded test machine
         # from turning a slow fork into a false point failure.
         clean = SweepRunner().run(TINY)

@@ -62,48 +62,6 @@ class TestGridExpansion:
         assert len(result.points) == 1
 
 
-class TestEngineAxis:
-    """The engine selector flows grid -> point -> stage key."""
-
-    def test_grid_engine_reaches_every_point(self):
-        specs = GridSpec(
-            apps=("sq",), sizes={"sq": 2}, policies=(0, 6), distance=3,
-            engine="vec",
-        ).expand()
-        assert specs and all(s.engine == "vec" for s in specs)
-
-    def test_default_engine_is_flat(self):
-        assert all(s.engine == "flat" for s in TINY.expand())
-
-    def test_engine_keys_the_point(self):
-        flat = PointSpec(app="sq", size=2, policy=6, distance=3)
-        vec = PointSpec(
-            app="sq", size=2, policy=6, distance=3, engine="vec"
-        )
-        assert flat.key() != vec.key()
-        assert flat.key().digest != vec.key().digest
-
-    def test_engine_keys_the_braid_stage(self):
-        from repro.runner.keys import StageKey
-
-        base = dict(app="sq", size=2, policy=6, distance=3)
-        flat = StageKey.make("braid_sim", engine="flat", **base)
-        vec = StageKey.make("braid_sim", engine="vec", **base)
-        assert flat.digest != vec.digest
-
-    def test_vec_point_matches_flat_result(self):
-        pytest.importorskip("numpy")
-        flat = run_point(
-            PointSpec(app="sq", size=2, policy=6, distance=3)
-        )
-        vec = run_point(
-            PointSpec(
-                app="sq", size=2, policy=6, distance=3, engine="vec"
-            )
-        )
-        assert vec.braid == flat.braid
-
-
 class TestGridLists:
     def test_per_app_size_lists(self):
         specs = GridSpec(
