@@ -2,9 +2,10 @@
 
 The sweep runs through :class:`repro.runner.SweepRunner`, which splits
 the pipeline into cached stages: every application's frontend is
-compiled exactly once for all seven policies (asserted below from the
-cache statistics), and the sweep beats an equivalent per-point loop on
-wall-clock.
+compiled exactly once for all seven policies, and each braid plan once
+per layout, where an equivalent per-point loop rebuilds both for every
+point (asserted below from exact cache-stat stage counts; timing
+belongs in ``perfbench/``).
 
 Paper claims reproduced and asserted here:
 
@@ -14,8 +15,6 @@ Paper claims reproduced and asserted here:
 * Serial apps (GSE, SQ) sit near the critical path for all policies.
 * Mesh utilization rises with better policies (paper: up to ~22%).
 """
-
-import time
 
 import pytest
 
@@ -52,31 +51,27 @@ def test_fig6_frontend_compiled_exactly_once_per_app(fig6_sweep, benchmark):
     assert stats.computed("simd_epr") == 4
 
 
-def test_fig6_sweep_beats_per_point_loop(benchmark):
-    """Shared-prefix dedup must beat an uncached per-point loop."""
+def test_fig6_sweep_dedups_per_point_loop(benchmark):
+    """The sweep shares stages that an uncached per-point loop repeats."""
     grid = GridSpec(
         apps=("sq",), sizes={"sq": 3}, policies=tuple(range(7)), distance=5
     )
     specs = grid.expand()
 
-    # Warm process-global memos (the scaling-model fit) outside both
-    # timed regions so neither side pays them.
-    run_point(specs[0], StageCache())
-
-    start = time.perf_counter()
+    loop_plans = loop_frontends = 0
     for spec in specs:
-        run_point(spec, StageCache())
-    loop_seconds = time.perf_counter() - start
+        cache = StageCache()
+        run_point(spec, cache)
+        loop_plans += cache.stats.computed("braid_plan")
+        loop_frontends += cache.stats.computed("frontend")
+    assert (loop_plans, loop_frontends) == (7, 7)
 
     sweep = benchmark.pedantic(
         SweepRunner().run, args=(grid,), rounds=1, iterations=1
     )
-    # Locally the dedup wins ~1.8x here; the loose margin keeps shared
-    # CI runners from flaking on timing noise.
-    assert sweep.elapsed_seconds < loop_seconds * 0.95, (
-        f"sweep {sweep.elapsed_seconds:.2f}s must beat per-point loop "
-        f"{loop_seconds:.2f}s"
-    )
+    # One plan per layout: naive for policies 0-1, optimized for 2-6.
+    assert sweep.stats.computed("braid_plan") == 2, sweep.stats.as_dict()
+    assert sweep.stats.computed("frontend") == 1, sweep.stats.as_dict()
 
 
 def test_fig6_serial_apps_near_critical_path(fig6_results, benchmark):

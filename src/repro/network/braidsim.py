@@ -15,47 +15,59 @@ the active policy, and an open attempted before a same-cycle close sees
 the link as busy (which is exactly what close-first prioritization
 exploits).
 
-The inner loop runs on flat data structures, and everything that does
-not depend on the scheduling policy — tasks, dominant routes and link
-masks, DAG arrays, the critical path — is precompiled into an immutable
-:class:`~repro.network.plan.BraidPlan`, built once per design point and
-shared by all seven policy simulations (see :mod:`repro.network.plan`):
+Everything that does not depend on the scheduling policy — tasks,
+dominant routes and link masks, DAG arrays, the critical path — is
+precompiled into an immutable :class:`~repro.network.plan.BraidPlan`,
+built once per design point and shared by all seven policy simulations
+(see :mod:`repro.network.plan`).
 
-* heap entries are single ints (``time << 34 | seq``) with a side list
-  mapping ``seq`` to the event's kind and operation;
-* link occupancy is the mesh's bitmask core, so a route is free iff
-  ``route_mask & occupied == 0`` and claims/releases are big-int OR/AND;
+:meth:`BraidSimulator.run` is one fused event loop for all three policy
+families.  At Fig. 6 scale a timestep holds about one ready open, so
+the cost is per-timestep interpreter overhead rather than route
+searches; the loop therefore inlines every per-step action (close,
+claim, complete, make-ready, event scheduling) and keeps its state in
+locals:
+
+* heap entries are single ints (``time << 34 | seq``) with a dict
+  mapping ``seq`` to the event's kind and op;
+* a wake event only forces a timestep, so it has no dict entry and is
+  pushed only when no wake is already pending at its time;
+* link occupancy is a local big-int mask (a route is free iff
+  ``route_mask & occupied == 0``) with a per-op held-mask list; the
+  :class:`~.mesh.BraidMesh` gets the final occupancy and epoch back
+  when the run ends;
 * routes come precomputed from a shared :class:`~.routing.RouteTable`;
-* per-op criticality and route-length keys are fetched into arrays once
-  instead of rebuilding closures inside the issue fixpoint;
 * a blocked open records the mesh *epoch* (release counter) at which its
   route search failed and skips the search entirely until a link is
   released or adaptivity widens its candidate set;
-* close-first policies (5 and 6) keep their ready opens in an
-  incrementally-maintained queue — arrival-ordered FIFO entries for
-  Policy 5, criticality buckets with cached per-bucket sorts for
-  Policy 6 — so each issue-fixpoint iteration re-sorts only what
-  changed instead of the whole ready set.
+* each fixpoint pass fixes its open order before its closes run.
+  Close-first policies (5, 6 and 8) walk the closes, then the opens
+  in the order of an incrementally-maintained queue — arrival-ordered
+  FIFO entries for Policy 5, criticality buckets with cached
+  per-bucket sorts for Policy 6, the scoreboard's ready bitset for
+  Policy 8.  Interleaved policies walk closes and opens merged by op
+  index, so their criticality and length keys are never consulted.
 
 The scheduler families (policies 7 and 8, machinery in
-:mod:`.policies_sched`) ride the same event loop: the reservation
-family gates ``_eligible_opens`` on each segment's reserved cycle and
-wakes ops exactly there, and the scoreboard family plugs a
-bitset-backed ready queue (oldest program index first) into the
-close-first issue path while a dependency bit-matrix tracks wakeups.
+:mod:`.policies_sched`) run in the same loop: the reservation family
+gates each segment's open on its reserved cycle and wakes exactly
+there, and the scoreboard family takes its open order from a
+bitset-backed ready queue (oldest program index first) while a
+dependency bit-matrix tracks wakeups.
 
 For policies 0--6, results are bit-identical to the seed event loop,
 which is preserved in :mod:`repro.network._braidsim_reference` and
 enforced by the golden equivalence tests.  The scheduler families have
-no seed oracle; their contract is flat-vs-vec bit-identity, enforced
-by the cross-engine differential harness.
+no seed oracle; their contract is flat-vs-vec bit-identity of the full
+decision trace (:attr:`BraidSimulator.trace`), enforced by the
+cross-engine differential harness against the method-per-step loop of
+:class:`~.braidsim_vec.VecBraidSimulator`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-import itertools
 from bisect import bisect_left, insort
 from typing import Optional
 
@@ -88,10 +100,10 @@ __all__ = [
 ENGINES = ("flat", "vec", "reference")
 """Selectable braid engines.
 
-* ``"flat"`` — this module's optimized flat-structure event loop (the
-  default everywhere).
-* ``"vec"`` — :mod:`.braidsim_vec`'s numpy-batched engine (requires
-  the ``vec`` optional extra).
+* ``"flat"`` — this module's fused event loop (the default
+  everywhere).
+* ``"vec"`` — :mod:`.braidsim_vec`'s method-per-step loop with
+  numpy-batched open tests (requires the ``vec`` optional extra).
 * ``"reference"`` — the preserved seed loop in
   :mod:`._braidsim_reference`, the semantic oracle.
 
@@ -326,15 +338,25 @@ _SEQ_BITS = 34
 _SEQ_LIMIT = 1 << _SEQ_BITS
 _SEQ_MASK = _SEQ_LIMIT - 1
 
+_NO_OPS = ()  # an empty close or open list
+
 
 class BraidSimulator:
-    """Single-run braid schedule simulator.
+    """Single-run braid schedule simulator (the ``flat`` engine).
 
     Use :func:`simulate_braids` for the common path (it memoizes the
     policy-independent :class:`~repro.network.plan.BraidPlan` per
     design point), :func:`simulate_plan` to run several policies from
-    one prebuilt plan, and instantiate directly to inspect internals
-    or inject custom tasks.
+    one prebuilt plan, and instantiate directly to inspect internals,
+    inject custom tasks, or record a decision trace.
+
+    Attributes:
+        trace: ``None`` (the default) or a list the engine appends one
+            tuple to per scheduling decision: ``("open", time, op,
+            segment)`` for a successful segment open, ``("close",
+            time, op, segment)`` for a segment close and ``("done",
+            time, op)`` for an op completion.  Set it to ``[]`` before
+            :meth:`run`; the vec engine records the same tuples.
     """
 
     def __init__(
@@ -396,6 +418,7 @@ class BraidSimulator:
         )
         self.policy = policy
         self.num_ops = plan.num_ops
+        self.trace: Optional[list[tuple]] = None
         n = self.num_ops
 
         self._phase = [_WAITING] * n
@@ -404,24 +427,6 @@ class BraidSimulator:
         self._successors = plan.successors  # shared, read-only
         self._wait_start = [0] * n
         self._arrival = [0] * n
-        self._arrival_counter = itertools.count()
-        self._ready_opens: set[int] = set()
-        self._closing: list[int] = []
-        # Event heap entries: time << 34 | seq, with the event's kind
-        # and op packed into _event_meta[seq].  Ordering is (time, seq),
-        # exactly the seed's (time, tiebreak) tuple order.  Meta entries
-        # are popped with their events, so memory tracks outstanding
-        # events, not every event ever scheduled.
-        self._events: list[int] = []
-        self._event_meta: dict[int, int] = {}
-        self._event_seq = 0
-        self._completion_time = 0
-        self._busy_integral = 0
-        self._last_time = 0
-        self._braids = 0
-        self._adaptive = 0
-        self._drops = 0
-        self._p0_head = 0  # policy-0 program-order cursor
 
         # Flat per-op scheduling keys, shared read-only from the plan.
         # Criticality is only materialized for policies that rank by it
@@ -443,12 +448,6 @@ class BraidSimulator:
         self._fail_epoch = [-1] * n
         self._fail_adaptive = [False] * n
 
-        # Close-first policies re-derive the open order at every issue
-        # fixpoint iteration; an incrementally-maintained queue replaces
-        # the full ready-set sort (see the queue classes above).  Policy
-        # combinations without a specialized queue fall back to
-        # :meth:`_sort_opens`, which stays the semantic reference (the
-        # golden tests assert the queues reproduce it exactly).
         # Scheduler families (policies 7/8): plan-derived artifacts,
         # memoized per plan and shared with the vec engine and the IR
         # verifier (see repro.network.policies_sched).
@@ -463,6 +462,9 @@ class BraidSimulator:
             else None
         )
 
+        # Close-first policies take each pass's open order from an
+        # incrementally-maintained queue instead of sorting the whole
+        # ready set (see the queue classes above).
         self._open_queue: Optional[
             _FifoReadyQueue | _BucketReadyQueue | ScoreboardReadyQueue
         ]
@@ -479,33 +481,407 @@ class BraidSimulator:
         else:
             self._open_queue = None
 
-    # -- public API ---------------------------------------------------------
-
     def run(self) -> BraidSimResult:
-        for op in self.plan.sources:
-            self._make_ready(op, time=0)
-        self._schedule_event(0, _WAKE, -1)
-        events = self._events
-        meta = self._event_meta
-        max_cycles = self.config.max_cycles
-        heappop = heapq.heappop
-        while events:
-            entry = heappop(events)
-            time = entry >> _SEQ_BITS
-            if time > max_cycles:
-                raise RuntimeError(
-                    f"braid simulation exceeded {max_cycles} "
-                    "cycles; likely livelock"
-                )
-            self._integrate_busy(time)
-            batch = [meta.pop(entry & _SEQ_MASK)]
-            while events and events[0] >> _SEQ_BITS == time:
-                batch.append(meta.pop(heappop(events) & _SEQ_MASK))
-            self._process_timestep(time, batch)
+        """Simulate to completion in one fused event loop.
+
+        Each timestep pops every event due at that time, completes the
+        local ops among them, then runs the issue fixpoint: passes that
+        walk the closes and the eligible opens (closes first, or merged
+        by op index) until a pass makes no progress.  Closing, claiming,
+        completing and readying are inlined; plan arrays, per-op state
+        and mesh occupancy live in locals, and the mesh gets its final
+        occupancy and epoch back at the end.
+        """
+        plan = self.plan
+        n = self.num_ops
+        config = self.config
+        adaptive_timeout = config.adaptive_timeout
+        drop_timeout = config.drop_timeout
+        max_cycles = config.max_cycles
+        seq_limit = _SEQ_LIMIT
+        policy = self.policy
+        closes_first = policy.closes_first
+        interleave = policy.interleave
+        trace = self.trace
+
+        # Read-only plan arrays and policy machinery.
+        is_braid = self._is_braid
+        segments = self._segments
+        successors = self._successors
+        tasks = self.tasks
+        alternatives = self._routes.alternatives
+        reserved = self._resv.reserved if self._resv is not None else None
+        retire = (
+            self._scoreboard.retire if self._scoreboard is not None else None
+        )
+        queue = self._open_queue
+        if queue is not None:
+            queue_add = queue.add
+            queue_remove = queue.remove
+            queue_restamp = queue.restamp
+            queue_ordered = queue.ordered
+        else:
+            queue_add = queue_remove = queue_restamp = queue_ordered = None
+
+        # Per-op run state (the queues share the arrival list).
         phase = self._phase
-        unfinished = [
-            i for i in range(self.num_ops) if phase[i] != _DONE
-        ]
+        seg_index = self._segment_index
+        remaining = self._remaining_preds
+        wait_start = self._wait_start
+        arrival = self._arrival
+        fail_epoch = self._fail_epoch
+        fail_adaptive = self._fail_adaptive
+        held = [0] * n  # link mask of each op's open segment
+        ready: set[int] = set()
+        closing: list[int] = []
+        stamp = 0  # next arrival stamp
+        p0_head = 0  # policy-0 program-order cursor
+
+        # Mesh occupancy; busy links are always occupied.bit_count().
+        mesh = self.mesh
+        occupied = mesh.occupied_mask
+        epoch = mesh.epoch
+
+        # Heap entries are (time << _SEQ_BITS) | seq, with the event's
+        # kind and op packed into meta[seq].  A wake only forces a
+        # timestep, so it carries no meta entry and is pushed only when
+        # no wake is pending at its time yet.
+        events: list[int] = []
+        meta: dict[int, int] = {}
+        wakes: set[int] = set()
+        seq = 0
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+
+        completion = 0
+        busy_integral = 0
+        last_time = 0
+        braids = adaptive_routes = drops = 0
+
+        for op in plan.sources:
+            if is_braid[op]:
+                phase[op] = _READY
+                arrival[op] = stamp
+                stamp += 1
+                ready.add(op)
+                if queue_add is not None:
+                    queue_add(op)
+                if reserved is not None:
+                    cycle = reserved[op][0]
+                    if cycle > 0 and cycle not in wakes:
+                        wakes.add(cycle)
+                        heappush(events, (cycle << _SEQ_BITS) | seq)
+                        seq += 1
+            else:
+                phase[op] = _HOLDING
+                meta[seq] = ((op + 1) << 2) | _LOCAL
+                heappush(events, (tasks[op].local_cycles << _SEQ_BITS) | seq)
+                seq += 1
+        wakes.add(0)  # reservation wakes above are all later
+        heappush(events, seq)
+        seq += 1
+
+        error = None
+        while events:
+            if seq > seq_limit:
+                error = "braid simulation event counter overflow"
+                break
+            time = events[0] >> _SEQ_BITS
+            if time > max_cycles:
+                error = (
+                    f"braid simulation exceeded {max_cycles} cycles; "
+                    "likely livelock"
+                )
+                break
+            if time != last_time:
+                busy_integral += occupied.bit_count() * (time - last_time)
+                last_time = time
+
+            # Pop the timestep.  Expiries turn into closes; local ops
+            # complete after the pop, in event order, so an event they
+            # schedule for this same time gets a timestep of its own.
+            done_locals = None
+            while events and events[0] >> _SEQ_BITS == time:
+                packed = meta.pop(heappop(events) & _SEQ_MASK, _WAKE)
+                kind = packed & 3
+                if kind == _EXPIRY:
+                    op = (packed >> 2) - 1
+                    if phase[op] == _HOLDING:
+                        phase[op] = _CLOSING
+                        closing.append(op)
+                elif kind == _LOCAL:
+                    if done_locals is None:
+                        done_locals = []
+                    done_locals.append((packed >> 2) - 1)
+                else:
+                    wakes.discard(time)
+            if done_locals is not None:
+                for op in done_locals:
+                    # Complete op (mirrored in the close walk below).
+                    if trace is not None:
+                        trace.append(("done", time, op))
+                    phase[op] = _DONE
+                    completion = time
+                    if retire is not None:
+                        retire(op, successors)
+                    for succ in successors[op]:
+                        left = remaining[succ] - 1
+                        remaining[succ] = left
+                        if left:
+                            continue
+                        if is_braid[succ]:
+                            phase[succ] = _READY
+                            wait_start[succ] = time
+                            arrival[succ] = stamp
+                            stamp += 1
+                            ready.add(succ)
+                            if queue_add is not None:
+                                queue_add(succ)
+                            if reserved is not None:
+                                cycle = reserved[succ][0]
+                                if cycle > time and cycle not in wakes:
+                                    wakes.add(cycle)
+                                    heappush(events, (cycle << _SEQ_BITS) | seq)
+                                    seq += 1
+                        else:
+                            phase[succ] = _HOLDING
+                            meta[seq] = ((succ + 1) << 2) | _LOCAL
+                            heappush(
+                                events,
+                                ((time + tasks[succ].local_cycles) << _SEQ_BITS)
+                                | seq,
+                            )
+                            seq += 1
+
+            # Issue fixpoint: closes can complete ops whose successors
+            # may open in this same cycle (the greedy "place as many
+            # braids as possible" rule).
+            release_with_blocked = False
+            while True:
+                if closing:
+                    closes = closing
+                    closes.sort()
+                    closing = []
+                else:
+                    closes = _NO_OPS
+                # The open order is fixed before this pass's closes run.
+                if not ready:
+                    opens = _NO_OPS
+                elif queue_ordered is not None:
+                    opens = queue_ordered(ready)
+                else:
+                    if reserved is not None:
+                        # Reservation gate: a segment issues on (or
+                        # after) its reserved cycle, where a wake waits.
+                        opens = [
+                            op
+                            for op in ready
+                            if reserved[op][seg_index[op]] <= time
+                        ]
+                    elif interleave:
+                        opens = list(ready)
+                    else:
+                        # Policy 0: the lowest-index incomplete braid op
+                        # proceeds alone.
+                        while p0_head < n and (
+                            not is_braid[p0_head] or phase[p0_head] == _DONE
+                        ):
+                            p0_head += 1
+                        opens = [p0_head] if p0_head in ready else []
+                    if closes_first:
+                        # A close-first policy without a specialized
+                        # queue ranks with the policy's own sort key.
+                        opens.sort(
+                            key=policy.open_sort_key(
+                                self._criticality.__getitem__,
+                                self._route_length.__getitem__,
+                                arrival.__getitem__,
+                            )
+                        )
+                    else:
+                        opens.sort()
+                progress = released_any = blocked_any = False
+                num_closes = len(closes)
+                num_opens = len(opens)
+                ci = oi = 0
+                # Walk closes then opens (close-first policies), or both
+                # merged by op index; no op is both closing and opening.
+                while ci < num_closes or oi < num_opens:
+                    if ci < num_closes and (
+                        closes_first
+                        or oi == num_opens
+                        or closes[ci] < opens[oi]
+                    ):
+                        op = closes[ci]
+                        ci += 1
+                        si = seg_index[op]
+                        if trace is not None:
+                            trace.append(("close", time, op, si))
+                        mask = held[op]
+                        if mask:
+                            held[op] = 0
+                            occupied ^= mask
+                            epoch += 1
+                        si += 1
+                        seg_index[op] = si
+                        released_any = progress = True
+                        if si < len(segments[op]):
+                            # Next segment: ready again, back of the
+                            # arrival order.
+                            phase[op] = _READY
+                            wait_start[op] = time
+                            arrival[op] = stamp
+                            stamp += 1
+                            ready.add(op)
+                            if queue_add is not None:
+                                queue_add(op)
+                            if reserved is not None:
+                                cycle = reserved[op][si]
+                                if cycle > time and cycle not in wakes:
+                                    wakes.add(cycle)
+                                    heappush(events, (cycle << _SEQ_BITS) | seq)
+                                    seq += 1
+                            continue
+                        # Complete op (mirrored in the local pass above).
+                        if trace is not None:
+                            trace.append(("done", time, op))
+                        phase[op] = _DONE
+                        completion = time
+                        if retire is not None:
+                            retire(op, successors)
+                        for succ in successors[op]:
+                            left = remaining[succ] - 1
+                            remaining[succ] = left
+                            if left:
+                                continue
+                            if is_braid[succ]:
+                                phase[succ] = _READY
+                                wait_start[succ] = time
+                                arrival[succ] = stamp
+                                stamp += 1
+                                ready.add(succ)
+                                if queue_add is not None:
+                                    queue_add(succ)
+                                if reserved is not None:
+                                    cycle = reserved[succ][0]
+                                    if cycle > time and cycle not in wakes:
+                                        wakes.add(cycle)
+                                        heappush(
+                                            events, (cycle << _SEQ_BITS) | seq
+                                        )
+                                        seq += 1
+                            else:
+                                phase[succ] = _HOLDING
+                                meta[seq] = ((succ + 1) << 2) | _LOCAL
+                                heappush(
+                                    events,
+                                    ((time + tasks[succ].local_cycles)
+                                     << _SEQ_BITS)
+                                    | seq,
+                                )
+                                seq += 1
+                        continue
+
+                    op = opens[oi]
+                    oi += 1
+                    waited = time - wait_start[op]
+                    adaptive = waited >= adaptive_timeout
+                    path = None
+                    # Epoch early-out: a search that failed at this mesh
+                    # epoch with the same (or a wider) candidate set
+                    # must fail again -- claims since then only shrank
+                    # the free set.
+                    if fail_epoch[op] != epoch or (
+                        adaptive and not fail_adaptive[op]
+                    ):
+                        seg = segments[op][seg_index[op]]
+                        mask = seg[5]
+                        if mask & occupied == 0:
+                            path = seg[4]
+                        elif adaptive:
+                            for cand_path, cand_mask in alternatives(
+                                seg[0], seg[1]
+                            ):
+                                if cand_mask & occupied == 0:
+                                    path = cand_path
+                                    mask = cand_mask
+                                    break
+                    if path is None:
+                        blocked_any = True
+                        if fail_epoch[op] == epoch:
+                            # Keep an adaptive failure sticky within the
+                            # epoch: a post-drop non-adaptive miss must
+                            # not narrow the memo.
+                            if adaptive:
+                                fail_adaptive[op] = True
+                        else:
+                            fail_epoch[op] = epoch
+                            fail_adaptive[op] = adaptive
+                        if waited >= drop_timeout:
+                            # Drop and re-inject at the back of the
+                            # ready queue.
+                            drops += 1
+                            wait_start[op] = time
+                            arrival[op] = stamp
+                            stamp += 1
+                            if queue_restamp is not None:
+                                queue_restamp(op)
+                        if not adaptive:
+                            # Retry once adaptivity unlocks, even if no
+                            # braid closes in the meantime.
+                            cycle = wait_start[op] + adaptive_timeout
+                            if cycle not in wakes:
+                                wakes.add(cycle)
+                                heappush(events, (cycle << _SEQ_BITS) | seq)
+                                seq += 1
+                        continue
+                    # A found path implies the search ran, so seg is
+                    # this op's current segment.
+                    if adaptive and len(path) - 1 > seg[3]:
+                        adaptive_routes += 1
+                    if mask:
+                        if mask & occupied or held[op]:
+                            raise ValueError(
+                                f"braid claim for op {op} conflicts with "
+                                "claimed links or an open segment"
+                            )
+                        held[op] = mask
+                        occupied |= mask
+                    ready.discard(op)
+                    if queue_remove is not None:
+                        queue_remove(op)
+                    phase[op] = _HOLDING
+                    braids += 1
+                    # Open takes this cycle; stabilize for `hold`; then
+                    # close.
+                    meta[seq] = ((op + 1) << 2) | _EXPIRY
+                    heappush(
+                        events, ((time + 1 + seg[2]) << _SEQ_BITS) | seq
+                    )
+                    seq += 1
+                    if trace is not None:
+                        trace.append(("open", time, op, seg_index[op]))
+                    progress = True
+                if released_any and blocked_any:
+                    release_with_blocked = True
+                if not progress or (not closing and not ready):
+                    break
+            if release_with_blocked and ready:
+                # Links freed this cycle; blocked opens retry next cycle.
+                cycle = time + 1
+                if cycle not in wakes:
+                    wakes.add(cycle)
+                    heappush(events, (cycle << _SEQ_BITS) | seq)
+                    seq += 1
+
+        mesh.adopt(
+            occupied,
+            epoch,
+            {op: mask for op, mask in enumerate(held) if mask},
+        )
+        if error is not None:
+            raise RuntimeError(error)
+        unfinished = [i for i in range(n) if phase[i] != _DONE]
         if unfinished:
             raise RuntimeError(
                 f"braid simulation stalled with {len(unfinished)} "
@@ -520,281 +896,17 @@ class BraidSimulator:
                     "holding dependency bits; retire bookkeeping "
                     "diverged from the event loop"
                 )
-        critical = self.plan.critical_path
-        total_time = max(self._completion_time, 1)
         return BraidSimResult(
-            schedule_length=self._completion_time,
-            critical_path=critical,
+            schedule_length=completion,
+            critical_path=plan.critical_path,
             mean_utilization=(
-                self._busy_integral / (total_time * self.mesh.num_links)
+                busy_integral / (max(completion, 1) * mesh.num_links)
             ),
-            operations=self.num_ops,
-            braids=self._braids,
-            adaptive_routes=self._adaptive,
-            drops=self._drops,
+            operations=n,
+            braids=braids,
+            adaptive_routes=adaptive_routes,
+            drops=drops,
         )
-
-    # -- internals ------------------------------------------------------------
-
-    def _integrate_busy(self, now: int) -> None:
-        if now > self._last_time:
-            self._busy_integral += self.mesh.busy_links() * (
-                now - self._last_time
-            )
-            self._last_time = now
-
-    def _schedule_event(self, time: int, kind: int, op: int) -> None:
-        seq = self._event_seq
-        if seq >= _SEQ_LIMIT:
-            raise RuntimeError("braid simulation event counter overflow")
-        self._event_seq = seq + 1
-        self._event_meta[seq] = ((op + 1) << 2) | kind
-        heapq.heappush(self._events, (time << _SEQ_BITS) | seq)
-
-    def _make_ready(self, op: int, time: int) -> None:
-        if self._is_braid[op]:
-            self._phase[op] = _READY
-            self._wait_start[op] = time
-            self._arrival[op] = next(self._arrival_counter)
-            self._ready_opens.add(op)
-            if self._open_queue is not None:
-                self._open_queue.add(op)
-            if self._resv is not None:
-                # Reserved-cycle gate: wake exactly when the table says
-                # this segment issues (no event may exist there yet).
-                cycle = self._resv.reserved[op][self._segment_index[op]]
-                if cycle > time:
-                    self._schedule_event(cycle, _WAKE, -1)
-        else:
-            # Local op: runs unconditionally for its duration.
-            self._phase[op] = _HOLDING
-            self._schedule_event(
-                time + self.tasks[op].local_cycles, _LOCAL, op
-            )
-
-    def _complete(self, op: int, time: int) -> None:
-        self._phase[op] = _DONE
-        if time > self._completion_time:
-            self._completion_time = time
-        if self._scoreboard is not None:
-            # Clear this op's column before readying successors, so a
-            # wakeup (zero row) is visible the moment an op is ready.
-            self._scoreboard.retire(op, self._successors)
-        remaining = self._remaining_preds
-        for succ in self._successors[op]:
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
-                self._make_ready(succ, time)
-
-    def _process_timestep(self, time: int, batch: list[int]) -> None:
-        phase = self._phase
-        for packed in batch:
-            kind = packed & 3
-            if kind == _LOCAL:
-                self._complete((packed >> 2) - 1, time)
-            elif kind == _EXPIRY:
-                op = (packed >> 2) - 1
-                if phase[op] == _HOLDING:
-                    phase[op] = _CLOSING
-                    self._closing.append(op)
-            # _WAKE entries only force a timestep.
-        self._issue_events(time)
-
-    def _eligible_opens(self, time: int) -> list[int]:
-        if self._resv is not None:
-            # Reservation gate: an op may only issue on (or after) its
-            # segment's reserved cycle; a _WAKE is always pending for
-            # gated ops, scheduled when they became ready.
-            reserved = self._resv.reserved
-            seg_index = self._segment_index
-            return [
-                op
-                for op in self._ready_opens
-                if reserved[op][seg_index[op]] <= time
-            ]
-        if self.policy.interleave:
-            return list(self._ready_opens)
-        # Policy 0: the lowest-index incomplete braid op proceeds alone.
-        head = self._p0_head
-        is_braid = self._is_braid
-        phase = self._phase
-        while head < self.num_ops and (
-            not is_braid[head] or phase[head] == _DONE
-        ):
-            head += 1
-        self._p0_head = head
-        if head < self.num_ops and head in self._ready_opens:
-            return [head]
-        return []
-
-    def _sort_opens(self, opens: list[int]) -> list[int]:
-        """Policy open order for close-first issue sequences.
-
-        Matches ``Policy.open_sort_key`` exactly: every key ends in the
-        unique FIFO arrival stamp, so the sort is total and reduces to
-        plain tuple sorts over prefetched arrays.
-        """
-        policy = self.policy
-        arrival = self._arrival
-        if policy.family == "scoreboard":
-            # Oldest ready = lowest program index (matrix-wakeup age).
-            opens.sort()
-            return opens
-        if policy.combined_length_rule:
-            crit = self._criticality
-            length = self._route_length
-            values = sorted((crit[op] for op in opens), reverse=True)
-            # "Highest criticality" = top half of the ready set (the
-            # boundary value of the upper half, so ties stay together).
-            threshold = values[(len(values) - 1) // 2] if values else 0
-            decorated = []
-            for op in opens:
-                c = crit[op]
-                key_len = length[op] if c >= threshold else -length[op]
-                decorated.append((-c, key_len, arrival[op], op))
-            decorated.sort()
-            return [entry[3] for entry in decorated]
-        if policy.use_criticality:
-            crit = self._criticality
-            decorated = [(-crit[op], arrival[op], op) for op in opens]
-            decorated.sort()
-            return [entry[2] for entry in decorated]
-        if policy.use_length:
-            length = self._route_length
-            decorated = [(-length[op], arrival[op], op) for op in opens]
-            decorated.sort()
-            return [entry[2] for entry in decorated]
-        opens.sort(key=arrival.__getitem__)
-        return opens
-
-    def _issue_events(self, time: int) -> None:
-        # Fixpoint within the timestep: closes can complete operations,
-        # whose successors become ready and may open in the same cycle
-        # (the greedy "place as many braids as possible" rule).
-        closes_first = self.policy.closes_first
-        any_release_with_blocked = False
-        while True:
-            closes = sorted(self._closing)
-            self._closing = []
-            if closes_first:
-                # Closes in index order, then opens in policy order (the
-                # incremental queue when the policy has one).
-                if self._open_queue is not None:
-                    ordered = self._open_queue.ordered(self._ready_opens)
-                else:
-                    ordered = self._sort_opens(self._eligible_opens(time))
-                sequence = [(op, True) for op in closes]
-                sequence += [(op, False) for op in ordered]
-            else:
-                opens = self._eligible_opens(time)
-                # Unprioritized: events interleave by program order.
-                # (The policy's open ordering collapses to op index
-                # here, exactly as the seed's merged sort did.)
-                sequence = sorted(
-                    [(op, True) for op in closes]
-                    + [(op, False) for op in opens]
-                )
-            progress = False
-            released_any = False
-            blocked_any = False
-            for op, is_close in sequence:
-                if is_close:
-                    self._close_segment(op, time)
-                    released_any = True
-                    progress = True
-                else:
-                    opened = self._try_open(op, time)
-                    progress |= opened
-                    blocked_any |= not opened
-            any_release_with_blocked |= released_any and blocked_any
-            if not progress or (not self._closing and not self._ready_opens):
-                break
-        if any_release_with_blocked and self._ready_opens:
-            # Links freed this cycle; blocked opens retry next cycle.
-            self._schedule_event(time + 1, _WAKE, -1)
-
-    def _close_segment(self, op: int, time: int) -> None:
-        self.mesh.release(op)
-        self._segment_index[op] += 1
-        if self._segment_index[op] >= len(self._segments[op]):
-            self._complete(op, time)
-        else:
-            self._phase[op] = _READY
-            self._wait_start[op] = time
-            self._arrival[op] = next(self._arrival_counter)
-            self._ready_opens.add(op)
-            if self._open_queue is not None:
-                self._open_queue.add(op)
-            if self._resv is not None:
-                cycle = self._resv.reserved[op][self._segment_index[op]]
-                if cycle > time:
-                    self._schedule_event(cycle, _WAKE, -1)
-
-    def _try_open(self, op: int, time: int) -> bool:
-        config = self.config
-        mesh = self.mesh
-        waited = time - self._wait_start[op]
-        adaptive = waited >= config.adaptive_timeout
-        path = None
-        mask = 0
-        # Epoch early-out: a search that failed at this mesh epoch with
-        # the same (or a wider) candidate set must fail again -- claims
-        # since then only shrank the free set.
-        if self._fail_epoch[op] == mesh.epoch and (
-            self._fail_adaptive[op] or not adaptive
-        ):
-            pass
-        else:
-            src, dst, hold, min_len, dor_path, dor_mask = self._segments[
-                op
-            ][self._segment_index[op]]
-            occupied = mesh.occupied_mask
-            if dor_mask & occupied == 0:
-                path, mask = dor_path, dor_mask
-            elif adaptive:
-                for cand_path, cand_mask in self._routes.alternatives(
-                    src, dst
-                ):
-                    if cand_mask & occupied == 0:
-                        path, mask = cand_path, cand_mask
-                        break
-        if path is None:
-            if self._fail_epoch[op] == mesh.epoch:
-                # Keep an adaptive failure sticky within the epoch: a
-                # post-drop non-adaptive miss must not narrow the memo.
-                self._fail_adaptive[op] |= adaptive
-            else:
-                self._fail_epoch[op] = mesh.epoch
-                self._fail_adaptive[op] = adaptive
-            if waited >= config.drop_timeout:
-                # Drop and re-inject at the back of the ready queue.
-                self._drops += 1
-                self._wait_start[op] = time
-                self._arrival[op] = next(self._arrival_counter)
-                if self._open_queue is not None:
-                    self._open_queue.restamp(op)
-            if not adaptive:
-                # Make sure the op is retried once adaptivity unlocks,
-                # even if no braid closes in the meantime.
-                self._schedule_event(
-                    self._wait_start[op] + config.adaptive_timeout,
-                    _WAKE,
-                    -1,
-                )
-            return False
-        # A found path implies the search branch ran, so the segment
-        # fields (hold, min_len) are bound.
-        if adaptive and len(path) - 1 > min_len:
-            self._adaptive += 1
-        mesh.claim_mask(mask, op)
-        self._ready_opens.discard(op)
-        if self._open_queue is not None:
-            self._open_queue.remove(op)
-        self._phase[op] = _HOLDING
-        self._braids += 1
-        # Open takes this cycle; stabilize for `hold`; then close.
-        self._schedule_event(time + 1 + hold, _EXPIRY, op)
-        return True
 
 
 def _require_reference_support(policy: Policy) -> None:

@@ -1,12 +1,14 @@
 """Vectorized braid engine: batched open-candidate tests on numpy bitsets.
 
-The flat engine (:mod:`.braidsim`) pays two structural costs in its
-issue fixpoint: per-round ready-queue maintenance (every make-ready,
-open, close, and drop updates the incremental policy queues, and every
-round rebuilds an ``(op, is_close)`` sequence list), and — under
-contention — the per-braid ``_try_open`` route scan, re-run for every
-blocked op each time a release invalidates the epoch memo.  This
-engine replaces both:
+This engine is the second, independently written event loop behind the
+cross-engine differential harness: where the flat engine
+(:mod:`.braidsim`) fuses every per-timestep action into one loop, this
+one runs one method per step (``_process_timestep`` ->
+``_issue_events`` -> ``_try_open``/``_close_segment`` -> ``_complete``
+-> ``_make_ready`` -> ``_schedule_event``).  Under contention its
+costly step is the per-braid ``_try_open`` route scan, re-run for
+every blocked op each time a release invalidates the epoch memo, and
+the issue fixpoint replaces it with batched tests:
 
 * link occupancy and every route mask are packed into uint64 *words*
   (word ``i`` holds links ``64i..64i+63``), each segment's dominant
@@ -22,15 +24,15 @@ engine replaces both:
   order (criticality / route length / the combined median rule) is
   one ``np.lexsort`` over arrays prefetched from the shared plan;
 * below the batch threshold the engine runs the scalar
-  :meth:`~.braidsim.BraidSimulator._sort_opens` ordering directly —
-  with no incremental queues to maintain, and with empty/singleton
-  ready sets short-circuited before any list is built.
+  :meth:`VecBraidSimulator._sort_opens` ordering directly — with no
+  incremental queues to maintain, and with empty/singleton ready sets
+  short-circuited before any list is built.
 
 The batched test is a *prefilter*, not the final word: occupancy only
 grows while a round's opens are walked, so an op whose every candidate
 is blocked against the round's occupancy floor is guaranteed to fail
 at its turn — only its failure bookkeeping runs, bit-for-bit the flat
-engine's.  Survivors go through the inherited scalar ``_try_open``,
+engine's.  Survivors go through the scalar ``_try_open``,
 which performs the authoritative search, claim, and counter updates.
 Results are therefore bit-identical to the flat engine and to the seed
 loop in :mod:`._braidsim_reference`, which the golden tests and the
@@ -54,6 +56,8 @@ module without it is fine, but constructing the engine raises an
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import OrderedDict
 
 try:  # numpy is the "vec" optional extra, not a hard dependency
@@ -61,7 +65,20 @@ try:  # numpy is the "vec" optional extra, not a hard dependency
 except ImportError:  # pragma: no cover - exercised via monkeypatching
     np = None
 
-from .braidsim import _WAKE, BraidSimulator
+from .braidsim import (
+    _CLOSING,
+    _DONE,
+    _EXPIRY,
+    _HOLDING,
+    _LOCAL,
+    _READY,
+    _SEQ_BITS,
+    _SEQ_LIMIT,
+    _SEQ_MASK,
+    _WAKE,
+    BraidSimResult,
+    BraidSimulator,
+)
 from .plan import BraidPlan
 from .policies_sched import ScoreboardReadyQueue, scoreboard_matrix
 
@@ -239,10 +256,15 @@ def vec_plan_arrays(plan: BraidPlan) -> _VecPlanArrays:
 class VecBraidSimulator(BraidSimulator):
     """Braid simulator with numpy-batched open-candidate tests.
 
-    Same constructor, event loop, and results as
-    :class:`~.braidsim.BraidSimulator`; only the issue fixpoint is
-    replaced (see the module docstring for the batching scheme and the
-    scalar fast paths below the batch threshold).
+    Same constructor, :attr:`~.braidsim.BraidSimulator.trace` and
+    results as :class:`~.braidsim.BraidSimulator`, but an independently
+    written event loop: one method per step (``_process_timestep`` ->
+    ``_issue_events`` -> ``_try_open``/``_close_segment`` ->
+    ``_complete`` -> ``_make_ready`` -> ``_schedule_event``) where the
+    flat engine runs one fused loop, so the differential harness
+    compares two implementations.  See the module docstring for the
+    batching scheme and the scalar fast paths below the batch
+    threshold.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -276,6 +298,300 @@ class VecBraidSimulator(BraidSimulator):
             self._crit_arr = vec.criticality()
         else:
             self._crit_arr = None
+        # Event-loop state (the flat engine keeps these in locals).
+        self._arrival_counter = itertools.count()
+        self._ready_opens: set[int] = set()
+        self._closing: list[int] = []
+        # Event heap entries: time << 34 | seq, with the event's kind
+        # and op packed into _event_meta[seq].  Ordering is (time, seq),
+        # exactly the seed's (time, tiebreak) tuple order.  Meta entries
+        # are popped with their events, so memory tracks outstanding
+        # events, not every event ever scheduled.
+        self._events: list[int] = []
+        self._event_meta: dict[int, int] = {}
+        self._event_seq = 0
+        self._completion_time = 0
+        self._busy_integral = 0
+        self._last_time = 0
+        self._braids = 0
+        self._adaptive = 0
+        self._drops = 0
+        self._p0_head = 0  # policy-0 program-order cursor
+
+    # -- the method-per-step event loop --------------------------------------
+
+    def run(self) -> BraidSimResult:
+        for op in self.plan.sources:
+            self._make_ready(op, time=0)
+        self._schedule_event(0, _WAKE, -1)
+        events = self._events
+        meta = self._event_meta
+        max_cycles = self.config.max_cycles
+        heappop = heapq.heappop
+        while events:
+            entry = heappop(events)
+            time = entry >> _SEQ_BITS
+            if time > max_cycles:
+                raise RuntimeError(
+                    f"braid simulation exceeded {max_cycles} "
+                    "cycles; likely livelock"
+                )
+            self._integrate_busy(time)
+            batch = [meta.pop(entry & _SEQ_MASK)]
+            while events and events[0] >> _SEQ_BITS == time:
+                batch.append(meta.pop(heappop(events) & _SEQ_MASK))
+            self._process_timestep(time, batch)
+        phase = self._phase
+        unfinished = [
+            i for i in range(self.num_ops) if phase[i] != _DONE
+        ]
+        if unfinished:
+            raise RuntimeError(
+                f"braid simulation stalled with {len(unfinished)} "
+                f"unfinished operations (first: {unfinished[:5]}); this "
+                "is a simulator bug"
+            )
+        if self._scoreboard is not None:
+            dirty = self._scoreboard.outstanding()
+            if dirty:
+                raise RuntimeError(
+                    f"scoreboard finished with {dirty} rows still "
+                    "holding dependency bits; retire bookkeeping "
+                    "diverged from the event loop"
+                )
+        critical = self.plan.critical_path
+        total_time = max(self._completion_time, 1)
+        return BraidSimResult(
+            schedule_length=self._completion_time,
+            critical_path=critical,
+            mean_utilization=(
+                self._busy_integral / (total_time * self.mesh.num_links)
+            ),
+            operations=self.num_ops,
+            braids=self._braids,
+            adaptive_routes=self._adaptive,
+            drops=self._drops,
+        )
+
+    def _integrate_busy(self, now: int) -> None:
+        if now > self._last_time:
+            self._busy_integral += self.mesh.busy_links() * (
+                now - self._last_time
+            )
+            self._last_time = now
+
+    def _schedule_event(self, time: int, kind: int, op: int) -> None:
+        seq = self._event_seq
+        if seq >= _SEQ_LIMIT:
+            raise RuntimeError("braid simulation event counter overflow")
+        self._event_seq = seq + 1
+        self._event_meta[seq] = ((op + 1) << 2) | kind
+        heapq.heappush(self._events, (time << _SEQ_BITS) | seq)
+
+    def _make_ready(self, op: int, time: int) -> None:
+        if self._is_braid[op]:
+            self._phase[op] = _READY
+            self._wait_start[op] = time
+            self._arrival[op] = next(self._arrival_counter)
+            self._ready_opens.add(op)
+            if self._open_queue is not None:
+                self._open_queue.add(op)
+            if self._resv is not None:
+                # Reserved-cycle gate: wake exactly when the table says
+                # this segment issues (no event may exist there yet).
+                cycle = self._resv.reserved[op][self._segment_index[op]]
+                if cycle > time:
+                    self._schedule_event(cycle, _WAKE, -1)
+        else:
+            # Local op: runs unconditionally for its duration.
+            self._phase[op] = _HOLDING
+            self._schedule_event(
+                time + self.tasks[op].local_cycles, _LOCAL, op
+            )
+
+    def _complete(self, op: int, time: int) -> None:
+        if self.trace is not None:
+            self.trace.append(("done", time, op))
+        self._phase[op] = _DONE
+        if time > self._completion_time:
+            self._completion_time = time
+        if self._scoreboard is not None:
+            # Clear this op's column before readying successors, so a
+            # wakeup (zero row) is visible the moment an op is ready.
+            self._scoreboard.retire(op, self._successors)
+        remaining = self._remaining_preds
+        for succ in self._successors[op]:
+            remaining[succ] -= 1
+            if remaining[succ] == 0:
+                self._make_ready(succ, time)
+
+    def _process_timestep(self, time: int, batch: list[int]) -> None:
+        phase = self._phase
+        for packed in batch:
+            kind = packed & 3
+            if kind == _LOCAL:
+                self._complete((packed >> 2) - 1, time)
+            elif kind == _EXPIRY:
+                op = (packed >> 2) - 1
+                if phase[op] == _HOLDING:
+                    phase[op] = _CLOSING
+                    self._closing.append(op)
+            # _WAKE entries only force a timestep.
+        self._issue_events(time)
+
+    def _eligible_opens(self, time: int) -> list[int]:
+        if self._resv is not None:
+            # Reservation gate: an op may only issue on (or after) its
+            # segment's reserved cycle; a _WAKE is always pending for
+            # gated ops, scheduled when they became ready.
+            reserved = self._resv.reserved
+            seg_index = self._segment_index
+            return [
+                op
+                for op in self._ready_opens
+                if reserved[op][seg_index[op]] <= time
+            ]
+        if self.policy.interleave:
+            return list(self._ready_opens)
+        # Policy 0: the lowest-index incomplete braid op proceeds alone.
+        head = self._p0_head
+        is_braid = self._is_braid
+        phase = self._phase
+        while head < self.num_ops and (
+            not is_braid[head] or phase[head] == _DONE
+        ):
+            head += 1
+        self._p0_head = head
+        if head < self.num_ops and head in self._ready_opens:
+            return [head]
+        return []
+
+    def _sort_opens(self, opens: list[int]) -> list[int]:
+        """Policy open order for close-first issue sequences.
+
+        Matches ``Policy.open_sort_key`` exactly: every key ends in the
+        unique FIFO arrival stamp, so the sort is total and reduces to
+        plain tuple sorts over prefetched arrays.
+        """
+        policy = self.policy
+        arrival = self._arrival
+        if policy.family == "scoreboard":
+            # Oldest ready = lowest program index (matrix-wakeup age).
+            opens.sort()
+            return opens
+        if policy.combined_length_rule:
+            crit = self._criticality
+            length = self._route_length
+            values = sorted((crit[op] for op in opens), reverse=True)
+            # "Highest criticality" = top half of the ready set (the
+            # boundary value of the upper half, so ties stay together).
+            threshold = values[(len(values) - 1) // 2] if values else 0
+            decorated = []
+            for op in opens:
+                c = crit[op]
+                key_len = length[op] if c >= threshold else -length[op]
+                decorated.append((-c, key_len, arrival[op], op))
+            decorated.sort()
+            return [entry[3] for entry in decorated]
+        if policy.use_criticality:
+            crit = self._criticality
+            decorated = [(-crit[op], arrival[op], op) for op in opens]
+            decorated.sort()
+            return [entry[2] for entry in decorated]
+        if policy.use_length:
+            length = self._route_length
+            decorated = [(-length[op], arrival[op], op) for op in opens]
+            decorated.sort()
+            return [entry[2] for entry in decorated]
+        opens.sort(key=arrival.__getitem__)
+        return opens
+
+    def _close_segment(self, op: int, time: int) -> None:
+        if self.trace is not None:
+            self.trace.append(("close", time, op, self._segment_index[op]))
+        self.mesh.release(op)
+        self._segment_index[op] += 1
+        if self._segment_index[op] >= len(self._segments[op]):
+            self._complete(op, time)
+        else:
+            self._phase[op] = _READY
+            self._wait_start[op] = time
+            self._arrival[op] = next(self._arrival_counter)
+            self._ready_opens.add(op)
+            if self._open_queue is not None:
+                self._open_queue.add(op)
+            if self._resv is not None:
+                cycle = self._resv.reserved[op][self._segment_index[op]]
+                if cycle > time:
+                    self._schedule_event(cycle, _WAKE, -1)
+
+    def _try_open(self, op: int, time: int) -> bool:
+        config = self.config
+        mesh = self.mesh
+        waited = time - self._wait_start[op]
+        adaptive = waited >= config.adaptive_timeout
+        path = None
+        mask = 0
+        # Epoch early-out: a search that failed at this mesh epoch with
+        # the same (or a wider) candidate set must fail again -- claims
+        # since then only shrank the free set.
+        if self._fail_epoch[op] == mesh.epoch and (
+            self._fail_adaptive[op] or not adaptive
+        ):
+            pass
+        else:
+            src, dst, hold, min_len, dor_path, dor_mask = self._segments[
+                op
+            ][self._segment_index[op]]
+            occupied = mesh.occupied_mask
+            if dor_mask & occupied == 0:
+                path, mask = dor_path, dor_mask
+            elif adaptive:
+                for cand_path, cand_mask in self._routes.alternatives(
+                    src, dst
+                ):
+                    if cand_mask & occupied == 0:
+                        path, mask = cand_path, cand_mask
+                        break
+        if path is None:
+            if self._fail_epoch[op] == mesh.epoch:
+                # Keep an adaptive failure sticky within the epoch: a
+                # post-drop non-adaptive miss must not narrow the memo.
+                self._fail_adaptive[op] |= adaptive
+            else:
+                self._fail_epoch[op] = mesh.epoch
+                self._fail_adaptive[op] = adaptive
+            if waited >= config.drop_timeout:
+                # Drop and re-inject at the back of the ready queue.
+                self._drops += 1
+                self._wait_start[op] = time
+                self._arrival[op] = next(self._arrival_counter)
+                if self._open_queue is not None:
+                    self._open_queue.restamp(op)
+            if not adaptive:
+                # Make sure the op is retried once adaptivity unlocks,
+                # even if no braid closes in the meantime.
+                self._schedule_event(
+                    self._wait_start[op] + config.adaptive_timeout,
+                    _WAKE,
+                    -1,
+                )
+            return False
+        # A found path implies the search branch ran, so the segment
+        # fields (hold, min_len) are bound.
+        if adaptive and len(path) - 1 > min_len:
+            self._adaptive += 1
+        mesh.claim_mask(mask, op)
+        self._ready_opens.discard(op)
+        if self._open_queue is not None:
+            self._open_queue.remove(op)
+        self._phase[op] = _HOLDING
+        self._braids += 1
+        # Open takes this cycle; stabilize for `hold`; then close.
+        self._schedule_event(time + 1 + hold, _EXPIRY, op)
+        if self.trace is not None:
+            self.trace.append(("open", time, op, self._segment_index[op]))
+        return True
 
     # -- plumbing -----------------------------------------------------------
 
@@ -291,7 +607,7 @@ class VecBraidSimulator(BraidSimulator):
     def _ordered_opens_vec(self, opens: list[int]) -> list[int]:
         """Policy open order as one lexsort over prefetched arrays.
 
-        Matches :meth:`BraidSimulator._sort_opens` exactly: every key
+        Matches :meth:`_sort_opens` exactly: every key
         ends in (arrival, op), so the order is total and deterministic
         regardless of the ready set's iteration order.
         """
@@ -323,8 +639,7 @@ class VecBraidSimulator(BraidSimulator):
         """The failure branch of ``_try_open``, minus the search.
 
         Runs for ops the prefilter proved blocked; must stay
-        bit-identical to the bookkeeping in
-        :meth:`BraidSimulator._try_open`.
+        bit-identical to the bookkeeping in :meth:`_try_open`.
         """
         if self._fail_epoch[op] == self.mesh.epoch:
             self._fail_adaptive[op] |= adaptive

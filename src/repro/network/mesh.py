@@ -195,6 +195,19 @@ class BraidMesh:
         self.epoch += 1
         return freed
 
+    def adopt(self, occupied: int, epoch: int, claims: dict[Owner, int]) -> None:
+        """Install occupancy that was tracked outside the mesh.
+
+        The flat braid engine runs on a local copy of the occupancy
+        mask and epoch and hands its final state back through here.
+        ``claims`` (owner -> link mask) are the routes still held, and
+        ``occupied`` must be their union with the mesh's own claims.
+        """
+        self._owner_masks.update(claims)
+        self._occupied = occupied
+        self._busy = occupied.bit_count()
+        self.epoch = epoch
+
     def owner_mask(self, owner: Owner) -> int:
         """Bitmask of the links currently held by ``owner`` (0 if none)."""
         return self._owner_masks.get(owner, 0)

@@ -395,6 +395,13 @@ class LocalDirBackend:
                     },
                     handle,
                 )
+            if entry.exists():
+                # The previous leader stored its entry and released the
+                # lock between our entry check and our acquire: load
+                # its entry instead of computing it a second time.
+                FlightLease(lock).release()
+                self.flights_waited += 1
+                return None
             self.flights_led += 1
             return FlightLease(lock)
 

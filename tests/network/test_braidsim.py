@@ -10,7 +10,11 @@ from repro.network import (
     BraidSimConfig,
     build_tasks,
     simulate_braids,
+    simulate_braids_reference,
 )
+from repro.network import braidsim, braidsim_vec
+from repro.network.plan import BraidPlan
+from repro.network.policies import Policy
 from repro.partition import GridShape, naive_layout
 from repro.qasm import Circuit
 from repro.qec import DOUBLE_DEFECT
@@ -178,6 +182,147 @@ class TestSimulateBraids:
             POLICIES[2], distance=3, factory_routers=factories,
         )
         assert by_num.schedule_length == by_obj.schedule_length
+
+
+def contended_circuit(qubits):
+    """Mirrored, rotating CNOTs on a 3x3 mesh: adaptive routes and drops."""
+    c = Circuit(qubits=qubits)
+    for r in range(4):
+        for i in range(9):
+            j = (8 - i + r) % 9
+            if i != j:
+                c.apply("CNOT", f"q{i}", f"q{j}")
+        c.apply("T", f"q{r}")
+        c.apply("H", f"q{8 - r}")
+    return c
+
+
+class TestEngineSafetyChecks:
+    """The flat loop's guards and its write-back of mesh occupancy."""
+
+    @pytest.mark.parametrize("policy", range(9))
+    def test_max_cycles_below_schedule_length_raises(self, policy):
+        qubits, placement, _, factories = make_env(9, 3, 3)
+        c = contended_circuit(qubits)
+        full = simulate_braids(c, placement, BraidMesh(3, 3), policy,
+                               distance=3, factory_routers=factories)
+        config = BraidSimConfig(max_cycles=full.schedule_length - 1)
+        with pytest.raises(RuntimeError, match="exceeded"):
+            simulate_braids(c, placement, BraidMesh(3, 3), policy,
+                            distance=3, factory_routers=factories,
+                            config=config)
+        at_limit = BraidSimConfig(max_cycles=full.schedule_length)
+        assert simulate_braids(
+            c, placement, BraidMesh(3, 3), policy, distance=3,
+            factory_routers=factories, config=at_limit,
+        ) == full
+
+    @pytest.mark.parametrize("policy", range(7))
+    def test_caller_mesh_ends_released_with_reference_epoch(self, policy):
+        qubits, placement, _, factories = make_env(9, 3, 3)
+        c = contended_circuit(qubits)
+        config = BraidSimConfig(adaptive_timeout=1, drop_timeout=3)
+        flat_mesh = BraidMesh(3, 3)
+        ref_mesh = BraidMesh(3, 3)
+        flat = simulate_braids(c, placement, flat_mesh, policy, distance=3,
+                               factory_routers=factories, config=config)
+        ref = simulate_braids_reference(
+            c, placement, ref_mesh, policy, distance=3,
+            factory_routers=factories, config=config,
+        )
+        assert flat == ref
+        assert flat_mesh.occupied_mask == 0
+        assert flat_mesh.busy_links() == 0
+        assert flat_mesh.epoch == ref_mesh.epoch > 0
+
+    @pytest.mark.parametrize("policy", [7, 8])
+    def test_caller_mesh_ends_released_with_vec_epoch(self, policy):
+        # The reference loop does not speak policies 7-8; the vec
+        # engine is their oracle.
+        pytest.importorskip("numpy")
+        qubits, placement, _, factories = make_env(9, 3, 3)
+        c = contended_circuit(qubits)
+        flat_mesh = BraidMesh(3, 3)
+        vec_mesh = BraidMesh(3, 3)
+        flat = simulate_braids(c, placement, flat_mesh, policy, distance=3,
+                               factory_routers=factories)
+        vec = simulate_braids(c, placement, vec_mesh, policy, distance=3,
+                              factory_routers=factories, engine="vec")
+        assert flat == vec
+        assert flat_mesh.occupied_mask == 0
+        assert flat_mesh.busy_links() == 0
+        assert flat_mesh.epoch == vec_mesh.epoch > 0
+
+    def test_event_counter_overflow_raises(self, monkeypatch):
+        qubits, placement, mesh, factories = make_env(4, 2, 2)
+        c = Circuit(qubits=qubits)
+        for _ in range(4):
+            c.apply("CNOT", "q0", "q3")
+        monkeypatch.setattr(braidsim, "_SEQ_LIMIT", 3)
+        with pytest.raises(RuntimeError, match="overflow"):
+            simulate_braids(c, placement, mesh, 1, distance=3,
+                            factory_routers=factories)
+
+    @pytest.mark.parametrize("policy", range(9))
+    def test_unreachable_op_is_reported_as_stall(self, policy):
+        qubits, placement, mesh, factories = make_env(4, 2, 2)
+        c = Circuit(qubits=qubits)
+        c.apply("CNOT", "q0", "q1")
+        c.apply("H", "q1")
+        plan = BraidPlan.build(c, placement, mesh, distance=3,
+                               factory_routers=factories)
+        fields = {name: getattr(plan, name) for name in BraidPlan.__slots__}
+        # A phantom second predecessor: op 1 never becomes ready.
+        fields["in_degrees"] = (plan.in_degrees[0], plan.in_degrees[1] + 1)
+        stalled = BraidPlan(**fields)
+        sim = braidsim.BraidSimulator(policy=POLICIES[policy], plan=stalled)
+        with pytest.raises(RuntimeError, match="stalled"):
+            sim.run()
+
+    @pytest.mark.parametrize("rank", ["use_criticality", "use_length"])
+    def test_close_first_policy_without_queue_matches_reference(self, rank):
+        # No built-in close-first policy ranks by criticality or length
+        # alone, so this is the only coverage of the flat loop's
+        # policy-sort-key fallback.
+        policy = Policy(number=9, description="custom", closes_first=True,
+                        **{rank: True})
+        qubits, placement, _, factories = make_env(9, 3, 3)
+        c = contended_circuit(qubits)
+        config = BraidSimConfig(adaptive_timeout=1, drop_timeout=3)
+        flat = simulate_braids(c, placement, BraidMesh(3, 3), policy,
+                               distance=3, factory_routers=factories,
+                               config=config)
+        ref = simulate_braids_reference(
+            c, placement, BraidMesh(3, 3), policy, distance=3,
+            factory_routers=factories, config=config,
+        )
+        assert flat == ref
+        assert flat.drops > 0
+
+
+class TestDecisionTrace:
+    """The ``trace`` recorder both engines share."""
+
+    @pytest.mark.parametrize("policy", range(9))
+    def test_recording_leaves_the_result_unchanged(self, policy):
+        qubits, placement, mesh, factories = make_env(9, 3, 3)
+        c = contended_circuit(qubits)
+        config = BraidSimConfig(adaptive_timeout=1, drop_timeout=3)
+        plan = BraidPlan.build(c, placement, mesh, distance=3,
+                               factory_routers=factories)
+        engines = [braidsim.BraidSimulator]
+        if braidsim_vec.np is not None:
+            engines.append(braidsim_vec.VecBraidSimulator)
+        for engine in engines:
+            quiet = engine(policy=POLICIES[policy], plan=plan, config=config)
+            assert quiet.trace is None
+            traced = engine(policy=POLICIES[policy], plan=plan, config=config)
+            traced.trace = []
+            assert traced.run() == quiet.run()
+            times = [entry[1] for entry in traced.trace]
+            assert times == sorted(times)
+            done = [entry[2] for entry in traced.trace if entry[0] == "done"]
+            assert sorted(done) == list(range(plan.num_ops))
 
 
 class TestPolicies:

@@ -9,8 +9,8 @@ are built on:
   conflict);
 * the achieved initiation interval is never below the link-pressure
   ``ii()`` lower bound;
-* the scoreboard never selects an op whose dependency row still has
-  unresolved bits (asserted inside an instrumented simulator);
+* no policy, on either engine, opens a segment before all of its op's
+  DAG predecessors are done (checked on the engines' decision trace);
 * both policies yield makespans at or above the plan's
   policy-independent critical path, and the reservation policy's
   simulated schedule length equals the planner's makespan exactly
@@ -32,6 +32,7 @@ from repro.network import (
     BraidMesh,
     MatrixScoreboard,
     ReservationTable,
+    braidsim_vec,
     build_reservation,
     dependency_matrix,
     ii_lower_bound,
@@ -151,16 +152,24 @@ class TestMatrixScoreboard:
         assert board.outstanding() == 0
 
 
-class _AssertingScoreboardSim(BraidSimulator):
-    """Flat scoreboard run that asserts the selection invariant."""
-
-    def _try_open(self, op, time):
-        assert self._scoreboard is not None
-        assert self._scoreboard.row_clear(op), (
-            f"scoreboard selected op {op} with unresolved dependencies"
-        )
-        assert self._remaining_preds[op] == 0
-        return super()._try_open(op, time)
+def assert_respects_dependencies(plan, trace):
+    """No segment opens before all of its op's DAG predecessors are done."""
+    predecessors = [[] for _ in range(plan.num_ops)]
+    for op, succs in enumerate(plan.successors):
+        for succ in succs:
+            predecessors[succ].append(op)
+    done = set()
+    for entry in trace:
+        kind, time, op = entry[:3]
+        if kind == "done":
+            done.add(op)
+        elif kind == "open":
+            waiting = [p for p in predecessors[op] if p not in done]
+            assert not waiting, (
+                f"op {op} opened segment {entry[3]} at cycle {time} "
+                f"before predecessors {waiting} were done"
+            )
+    assert len(done) == plan.num_ops
 
 
 class TestSchedulerProperties:
@@ -201,11 +210,44 @@ class TestSchedulerProperties:
         assert result.drops == 0
         assert result.adaptive_routes == 0
 
+    @pytest.mark.parametrize("policy", range(9))
+    @given(plan=small_plans())
+    @settings(max_examples=20, deadline=None)
+    def test_no_open_before_predecessors_done(self, policy, plan):
+        engines = [BraidSimulator]
+        if braidsim_vec.np is not None:
+            engines.append(braidsim_vec.VecBraidSimulator)
+        for engine in engines:
+            sim = engine(policy=POLICIES[policy], plan=plan)
+            sim.trace = []
+            sim.run()
+            assert_respects_dependencies(plan, sim.trace)
+
     @given(plan=small_plans())
     @settings(max_examples=40, deadline=None)
     def test_scoreboard_never_selects_blocked_op(self, plan):
-        result = _AssertingScoreboardSim(policy=POLICIES[8], plan=plan).run()
-        assert result.operations == plan.num_ops
+        # Replays the scoreboard policy's trace through the dependency
+        # bit-matrix: every op it opens has an all-clear row, and every
+        # row is clear at the end.
+        engines = [BraidSimulator]
+        if braidsim_vec.np is not None:
+            engines.append(braidsim_vec.VecBraidSimulator)
+        for engine in engines:
+            sim = engine(policy=POLICIES[8], plan=plan)
+            sim.trace = []
+            result = sim.run()
+            assert result.operations == plan.num_ops
+            board = MatrixScoreboard(scoreboard_matrix(plan))
+            for entry in sim.trace:
+                kind, _, op = entry[:3]
+                if kind == "done":
+                    board.retire(op, plan.successors)
+                elif kind == "open":
+                    assert board.row_clear(op), (
+                        f"scoreboard selected op {op} with unresolved "
+                        "dependencies"
+                    )
+            assert board.outstanding() == 0
 
     @given(plan=small_plans())
     @settings(max_examples=40, deadline=None)

@@ -5,17 +5,20 @@ scoreboard) have no seed-reference oracle — the preserved seed loop in
 ``repro.network._braidsim_reference`` predates them and refuses to run
 them.  Their correctness oracle is *differential*: the flat and vec
 engines implement the same semantics through very different code paths
-(scalar event walk vs batched word-packed candidate filtering), so
+(one fused event loop vs a method-per-step loop with batched
+word-packed candidate filtering), so
 Hypothesis-generated circuits run through every (policy x engine) pair
 and must agree not just on the final counters but on the *entire event
 order* — every successful segment open, every close, every op
 completion, at the same cycle in the same sequence.
 
-Traces are recorded by a mixin that hooks the three state-changing
-methods both engines share (``_try_open`` success, ``_close_segment``,
-``_complete``); the vec engine's batched prefilter only short-circuits
-*failing* candidates, so identical traces mean identical scheduling
-decisions.
+Traces come from the engines' own ``trace`` recorder: set to a list,
+both engines append one ``(kind, time, op[, segment])`` tuple per
+successful segment open, segment close and op completion.  The flat
+engine records from its fused event loop, the vec engine from its
+per-step methods, and the vec engine's batched prefilter only
+short-circuits *failing* candidates, so identical traces mean
+identical scheduling decisions.
 
 On the numpy-absent matrix leg the vec half self-skips and the
 flat-engine determinism subset still runs (same circuit twice must
@@ -34,6 +37,7 @@ from repro.partition import GridShape, naive_layout
 from repro.qasm import Circuit
 
 np = braidsim_vec.np
+VecBraidSimulator = braidsim_vec.VecBraidSimulator
 requires_numpy = pytest.mark.skipif(
     np is None, reason="vec engine needs the numpy optional extra"
 )
@@ -72,54 +76,18 @@ def small_plans(draw):
     )
 
 
-class _TraceMixin:
-    """Record every scheduling decision as (kind, time, op[, segment]).
-
-    Both engines share these three methods (the vec engine overrides
-    only the candidate-selection loop above them), so the recorded
-    sequence is the engines' common observable behavior.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.trace = []
-
-    def _try_open(self, op, time):
-        segment = self._segment_index[op]
-        opened = super()._try_open(op, time)
-        if opened:
-            self.trace.append(("open", time, op, segment))
-        return opened
-
-    def _close_segment(self, op, time):
-        self.trace.append(("close", time, op, self._segment_index[op]))
-        super()._close_segment(op, time)
-
-    def _complete(self, op, time):
-        self.trace.append(("done", time, op))
-        super()._complete(op, time)
-
-
-class _TracingFlat(_TraceMixin, BraidSimulator):
-    pass
-
-
-if np is not None:
-
-    class _TracingVec(_TraceMixin, braidsim_vec.VecBraidSimulator):
-        pass
-
-
 def _traced_run(cls, plan, policy, config=None):
     sim = cls(policy=POLICIES[policy], plan=plan, config=config)
-    return sim.run(), sim.trace
+    sim.trace = []
+    result = sim.run()
+    return result, sim.trace
 
 
 def _assert_flat_vec_identical(plan, policy, config=None):
     flat_result, flat_trace = _traced_run(
-        _TracingFlat, plan, policy, config
+        BraidSimulator, plan, policy, config
     )
-    vec_result, vec_trace = _traced_run(_TracingVec, plan, policy, config)
+    vec_result, vec_trace = _traced_run(VecBraidSimulator, plan, policy, config)
     assert vec_result == flat_result, (
         f"policy {policy}: vec result diverged from flat"
     )
@@ -196,7 +164,7 @@ class TestDifferentialFixed:
     @pytest.mark.parametrize("policy", ALL_POLICY_NUMBERS)
     def test_engine_selector_agrees_with_traced_run(self, policy):
         plan = _wide_plan()
-        traced, _ = _traced_run(_TracingFlat, plan, policy)
+        traced, _ = _traced_run(BraidSimulator, plan, policy)
         assert simulate_plan(plan, policy, engine="flat") == traced
         assert simulate_plan(plan, policy, engine="vec") == traced
 
@@ -208,8 +176,8 @@ class TestFlatDeterminism:
     @given(plan=small_plans())
     @settings(max_examples=10, deadline=None)
     def test_flat_trace_is_deterministic(self, policy, plan):
-        first = _traced_run(_TracingFlat, plan, policy)
-        second = _traced_run(_TracingFlat, plan, policy)
+        first = _traced_run(BraidSimulator, plan, policy)
+        second = _traced_run(BraidSimulator, plan, policy)
         assert first == second
 
     def test_nine_policies_registered(self):

@@ -287,6 +287,33 @@ class TestSingleFlightLocal:
         assert not lock.exists()
         assert not list(lock.parent.glob("*.break*"))
 
+    def test_entry_stored_before_acquire_is_loaded_not_led(
+        self, tmp_path, monkeypatch
+    ):
+        # Replays the release race: a follower sees no entry, then the
+        # leader stores its entry and releases the lock before the
+        # follower's O_EXCL acquire.  The acquire succeeds, but the
+        # follower must load the entry rather than compute it again.
+        backend = LocalDirBackend(tmp_path, lock_poll=0.01)
+        lock = backend.lock_path("demo", KEY.digest)
+        real_open = os.open
+        raced = []
+
+        def open_after_leader_finished(path, flags, *args):
+            if Path(path) == lock and not raced:
+                raced.append(True)
+                backend.store(
+                    "demo", KEY.digest, make_record(KEY.describe(), {"v": 1})
+                )
+            return real_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "open", open_after_leader_finished)
+        assert backend.wait_or_lead("demo", KEY.digest) is None
+        assert raced
+        assert not lock.exists()
+        assert backend.flights_led == 0
+        assert backend.flights_waited == 1
+
     def test_followers_load_instead_of_recomputing(self, tmp_path):
         computes = []
 
@@ -315,11 +342,15 @@ def _hammer_worker(root, log_path, out_path, barrier, plan_json):
     from repro.runner.cache import StageCache
     from repro.runner.faults import FaultPlan, set_fault_plan
 
-    if plan_json is not None:
-        set_fault_plan(FaultPlan.from_json(plan_json))
     cache = StageCache(root)
     cache.backend.lock_poll = 0.01
-    cache.backend.lock_stale_after = 2.0  # bound zombie-pid takeover time
+    if plan_json is not None:
+        set_fault_plan(FaultPlan.from_json(plan_json))
+        # Bound the takeover time when the killed leader's pid is still
+        # an unreaped zombie.  Without a kill every leader is alive, so
+        # the default staleness applies: a 2 s bound would let a leader
+        # stalled by a loaded host be taken over and computed twice.
+        cache.backend.lock_stale_after = 2.0
     key = StageKey.make("demo", x=1)
 
     def compute():
