@@ -21,12 +21,13 @@ Passes:
   in-degree agreement, acyclicity by an independent Kahn sweep.
 * :func:`check_placement` — positions on-grid, no double-booked sites,
   every operand qubit placed.
-* :func:`check_plan` — :class:`~repro.network.plan.BraidPlan` internal
-  consistency: array lengths and read-only (tuple) types, per-segment
-  route endpoints on-mesh, link masks recomputed from paths, segment
-  holds matching the plan's code distance, minimal route lengths,
-  factory binding for magic-state consumers, DAG array agreement, and
-  the policy-independent critical path re-derived from scratch.
+* :func:`check_plan` — :class:`~repro.network.plan.BraidPlan` against
+  the per-op tasks :func:`~repro.network.events.build_tasks` re-derives
+  from the plan's inputs (braid flags, route lengths, local durations,
+  segment endpoints and holds, the critical path), plus array lengths
+  and read-only (tuple) types, per-segment route endpoints on-mesh,
+  link masks recomputed from paths, minimal route lengths and DAG
+  array agreement.
 * :func:`check_vec_plan` — the vectorized engine's word-packed
   derived arrays (:mod:`repro.network.braidsim_vec`) repacked to
   big-int masks and compared against the plan they were derived
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..network.events import build_tasks
 from ..network.mesh import BraidMesh, manhattan
 from ..network.plan import BraidPlan
 from ..partition.layout import Placement
@@ -326,7 +328,7 @@ def check_placement(
 
 
 _READONLY_FIELDS = (
-    "tasks", "is_braid", "route_length", "segments",
+    "is_braid", "route_length", "segments", "local_cycles",
     "in_degrees", "successors", "sources",
 )
 
@@ -338,11 +340,17 @@ def check_plan(
 ) -> list[Diagnostic]:
     """Verify a :class:`BraidPlan`'s internal consistency.
 
-    Re-derives every redundant structure (masks from paths, minimal
-    lengths from endpoints, the critical path from task latencies and
-    successor edges, in-degrees and sources from the DAG) and checks
-    the plan's shared arrays are actually immutable tuples — the
-    property simulators rely on when treating a plan as read-only.
+    The one-pass builder is checked against an independent oracle:
+    :func:`~repro.network.events.build_tasks` re-lowers the plan's
+    circuit from its placement, code, distance and factory routers,
+    and every op's ``is_braid``, ``route_length``, ``local_cycles``
+    and segment endpoints and holds must match it, as must the
+    critical path re-derived from the task latencies over the DAG's
+    successor lists.  Also re-derives the redundant structure (masks
+    from paths, minimal lengths from endpoints, in-degrees and sources
+    from the DAG) and checks the plan's shared arrays are immutable
+    tuples, the property simulators rely on when treating a plan as
+    read-only.
     """
     out: list[Diagnostic] = []
     for field in _READONLY_FIELDS:
@@ -361,7 +369,7 @@ def check_plan(
             f"plan covers {n} ops but its circuit has {circuit_ops} "
             "(planned circuits must not be mutated)",
         ))
-    for field in ("tasks", "is_braid", "route_length", "segments",
+    for field in ("is_braid", "route_length", "segments", "local_cycles",
                   "in_degrees", "successors"):
         length = len(getattr(plan, field))
         if length != n:
@@ -375,17 +383,6 @@ def check_plan(
         return out
 
     mesh = BraidMesh(plan.rows, plan.cols)
-    try:
-        endpoint = {
-            q: mesh.tile_router(plan.placement.position(q))
-            for q in plan.placement.positions
-        }
-    except ValueError as error:
-        out.append(_diag(
-            Severity.ERROR, "plan", artifact, "",
-            f"placement does not fit the plan's mesh: {error}",
-        ))
-        endpoint = {}
     factories = set(plan.factory_routers)
     for router in plan.factory_routers:
         if not mesh.in_bounds(router):
@@ -402,70 +399,64 @@ def check_plan(
             "has no factory routers",
         ))
 
+    # The independent oracle: the per-op task lowering the reference
+    # loop simulates, re-derived from the plan's own inputs (an
+    # unplaced operand, an off-grid tile or a missing factory lands
+    # here).
+    try:
+        tasks = build_tasks(
+            plan.circuit, plan.placement, mesh, plan.code, plan.distance,
+            plan.factory_routers,
+        )
+    except (KeyError, ValueError) as error:
+        out.append(_diag(
+            Severity.ERROR, "plan", artifact, "",
+            f"build_tasks cannot re-derive the plan's ops: {error!r}",
+        ))
+        tasks = None
+
     for index in range(n):
-        task = plan.tasks[index]
         where = f"op {index}"
-        op = plan.circuit[index]
-        if task.index != index:
-            out.append(_diag(
-                Severity.ERROR, "plan", artifact, where,
-                f"task records index {task.index}",
-            ))
-        if plan.is_braid[index] != bool(task.segments):
-            out.append(_diag(
-                Severity.ERROR, "plan", artifact, where,
-                f"is_braid={plan.is_braid[index]} disagrees with "
-                f"{len(task.segments)} segment(s)",
-            ))
-        expected_len = sum(s.min_length for s in task.segments)
-        if plan.route_length[index] != (
-            expected_len if task.segments else 0
-        ):
-            out.append(_diag(
-                Severity.ERROR, "plan", artifact, where,
-                f"route_length={plan.route_length[index]} != "
-                f"{expected_len} (sum of minimal segment lengths)",
-            ))
-        if not task.segments and task.local_cycles < 1:
-            out.append(_diag(
-                Severity.ERROR, "plan", artifact, where,
-                f"local task has non-positive duration "
-                f"{task.local_cycles}",
-            ))
         segment_infos = plan.segments[index]
-        if len(segment_infos) != len(task.segments):
-            out.append(_diag(
-                Severity.ERROR, "plan", artifact, where,
-                f"{len(segment_infos)} prebound segment(s) for "
-                f"{len(task.segments)} task segment(s)",
-            ))
-            continue
-        if op.consumes_magic_state and endpoint:
-            if len(task.segments) != 1:
+        if tasks is not None:
+            task = tasks[index]
+            if plan.is_braid[index] != task.is_braid:
                 out.append(_diag(
                     Severity.ERROR, "plan", artifact, where,
-                    f"magic-state consumer has {len(task.segments)} "
-                    "segment(s), expected 1 (factory -> target)",
+                    f"is_braid={plan.is_braid[index]} but build_tasks "
+                    f"gives {len(task.segments)} segment(s)",
                 ))
-            elif factories:
-                src = task.segments[0].src
-                target = endpoint.get(op.qubits[0])
-                if src not in factories:
+            expected_len = task.route_length if task.is_braid else 0
+            if plan.route_length[index] != expected_len:
+                out.append(_diag(
+                    Severity.ERROR, "plan", artifact, where,
+                    f"route_length={plan.route_length[index]} != "
+                    f"{expected_len} (sum of minimal segment lengths)",
+                ))
+            if plan.local_cycles[index] != task.local_cycles:
+                out.append(_diag(
+                    Severity.ERROR, "plan", artifact, where,
+                    f"local_cycles={plan.local_cycles[index]} != "
+                    f"{task.local_cycles} from build_tasks",
+                ))
+            if len(segment_infos) != len(task.segments):
+                out.append(_diag(
+                    Severity.ERROR, "plan", artifact, where,
+                    f"{len(segment_infos)} prebound segment(s) for "
+                    f"{len(task.segments)} task segment(s)",
+                ))
+                continue
+            for seg_idx, (info, seg) in enumerate(
+                zip(segment_infos, task.segments)
+            ):
+                if tuple(info[:3]) != (seg.src, seg.dst, seg.hold):
                     out.append(_diag(
-                        Severity.ERROR, "plan", artifact, where,
-                        f"magic-state source {src} is not a factory "
-                        "router",
+                        Severity.ERROR, "plan", artifact,
+                        f"segment {seg_idx} of op {index}",
+                        f"segment {info[0]} -> {info[1]} (hold "
+                        f"{info[2]}) but build_tasks gives {seg.src} -> "
+                        f"{seg.dst} (hold {seg.hold})",
                     ))
-                elif target is not None:
-                    nearest = min(
-                        factories, key=lambda f: (manhattan(f, target), f)
-                    )
-                    if src != nearest:
-                        out.append(_diag(
-                            Severity.ERROR, "plan", artifact, where,
-                            f"magic state braided from {src}, but the "
-                            f"nearest factory to {target} is {nearest}",
-                        ))
         for seg_idx, info in enumerate(segment_infos):
             seg_where = f"segment {seg_idx} of op {index}"
             src, dst, hold, min_len, dor_path, dor_mask = info
@@ -528,19 +519,6 @@ def check_plan(
                     f"link mask {dor_mask:#x} does not match its route "
                     f"(expected {expected_mask:#x})",
                 ))
-        if endpoint and op.arity == 2 and len(task.segments) == 2:
-            src = endpoint.get(op.qubits[0])
-            dst = endpoint.get(op.qubits[1])
-            for seg_idx, seg in enumerate(task.segments):
-                if src is not None and dst is not None and (
-                    (seg.src, seg.dst) != (src, dst)
-                ):
-                    out.append(_diag(
-                        Severity.ERROR, "plan", artifact,
-                        f"segment {seg_idx} of op {index}",
-                        f"braid endpoints {seg.src} -> {seg.dst} do not "
-                        f"match the operands' tiles {src} -> {dst}",
-                    ))
 
     # DAG array agreement: the plan's scheduling arrays must be the
     # DAG's own view of the (unmutated) dependence structure.
@@ -563,22 +541,24 @@ def check_plan(
             "plan source set does not match the dependence DAG",
         ))
 
-    # Critical path re-derivation (same ASAP recurrence, fresh arrays).
-    start = [0] * n
-    critical = 0
-    for index in range(n):
-        finish = start[index] + plan.tasks[index].busy_cycles
-        if finish > critical:
-            critical = finish
-        for succ in plan.successors[index]:
-            if 0 <= succ < n and finish > start[succ]:
-                start[succ] = finish
-    if critical != plan.critical_path:
-        out.append(_diag(
-            Severity.ERROR, "plan", artifact, "critical_path",
-            f"recorded critical path {plan.critical_path} != "
-            f"{critical} re-derived from task latencies",
-        ))
+    # Critical path re-derivation (same ASAP recurrence over the
+    # re-derived task latencies and the DAG's own successor lists).
+    if tasks is not None:
+        start = [0] * n
+        critical = 0
+        for index, succs in enumerate(dag_succ):
+            finish = start[index] + tasks[index].busy_cycles
+            if finish > critical:
+                critical = finish
+            for succ in succs:
+                if 0 <= succ < n and finish > start[succ]:
+                    start[succ] = finish
+        if critical != plan.critical_path:
+            out.append(_diag(
+                Severity.ERROR, "plan", artifact, "critical_path",
+                f"recorded critical path {plan.critical_path} != "
+                f"{critical} re-derived from task latencies",
+            ))
 
     if strict and factories:
         from ..arch.tiled import DATA_TILES_PER_FACTORY
@@ -780,7 +760,7 @@ def check_sched(
                         f"local op carries {len(opens)} reserved "
                         "cycles (must be none)",
                     ))
-                end = ready[op] + plan.tasks[op].local_cycles
+                end = ready[op] + plan.local_cycles[op]
             else:
                 segments = plan.segments[op]
                 if len(opens) != len(segments):

@@ -24,13 +24,9 @@ from ..partition.layout import GridShape, Placement, grid_for, optimized_layout
 from ..qasm.circuit import Circuit
 from ..qasm.dag import CircuitDag
 from ..qec.codes import PLANAR, SurfaceCode
-from ..network.epr import (
-    EprPipelineConfig,
-    EprPipelineResult,
-    demands_from_schedule,
-    simulate_epr_pipeline,
-)
+from ..network.epr import EprPipelineConfig, EprPipelineResult, _simulate
 from ..network.mesh import Router
+from ..network.teleport import DEFAULT_TELEPORT_MODEL
 
 __all__ = ["MultiSimdMachine", "simd_schedule", "build_multisimd_machine"]
 
@@ -121,41 +117,72 @@ class MultiSimdMachine:
 
         The window is given in logical cycles and scaled to error
         correction cycles internally (one logical cycle = d EC cycles on
-        the planar lattice).
+        the planar lattice).  The result equals
+        :func:`~repro.network.epr.simulate_epr_pipeline` over
+        :func:`~repro.network.epr.demands_from_schedule` with use cycles
+        scaled by d; it is built in one walk of the schedule that
+        computes each operand tuple's distribution cycles once, for both
+        the bandwidth sum and the simulation.
         """
-        demands = demands_from_schedule(
-            schedule, self.placement, factory=self.epr_factory
-        )
-        scaled = [
-            dataclasses.replace(d, use_cycle=d.use_cycle * distance)
-            for d in demands
-        ]
+        if bandwidth is not None:
+            config = EprPipelineConfig(
+                window=window * distance,
+                bandwidth=bandwidth,
+                distance=distance,
+            )
+        model = DEFAULT_TELEPORT_MODEL
+        factory = self.epr_factory
+        position = self.placement.position
+        circuit = schedule.circuit
+        magic_of: dict[str, bool] = {}
+        cost_of: dict[tuple[str, ...], float] = {}
+        uses: list[int] = []
+        durations: list[float] = []
+        service = 0  # summed in schedule order, before the per-cycle sort
+        for cycle, ops in enumerate(schedule.cycles):
+            demands = []
+            for op_index in ops:
+                op = circuit[op_index]
+                qubits = op.qubits
+                if len(qubits) != 2:
+                    magic = magic_of.get(op.gate)
+                    if magic is None:
+                        magic = magic_of[op.gate] = op.consumes_magic_state
+                    if not magic:
+                        continue
+                cost = cost_of.get(qubits)
+                if cost is None:
+                    a = position(qubits[0])
+                    b = position(qubits[1]) if len(qubits) == 2 else factory
+                    cost = cost_of[qubits] = model.distribution_cycles(
+                        factory, a, b, distance
+                    )
+                service += cost
+                demands.append((op_index, cost))
+            if demands:
+                # The simulation consumes demands in (use, op) order.
+                demands.sort()
+                use = cycle * distance
+                for _, cost in demands:
+                    uses.append(use)
+                    durations.append(cost)
         if bandwidth is None:
             # Provision swap channels for ~2/3 utilization at this
             # program's mean distribution demand (Section 8.1: channel
             # capacity follows demand; parallelism has little effect on
             # pipelinability).
-            from .. import network
-
-            model = network.DEFAULT_TELEPORT_MODEL
             ideal = max(1, schedule.length * distance)
-            service = sum(
-                model.distribution_cycles(
-                    self.epr_factory, d.endpoint_a, d.endpoint_b, distance
-                )
-                for d in demands
+            config = EprPipelineConfig(
+                window=window * distance,
+                bandwidth=max(4, round(1.5 * service / ideal)),
+                distance=distance,
             )
-            bandwidth = max(4, round(1.5 * service / ideal))
-        config = EprPipelineConfig(
-            window=window * distance,
-            bandwidth=bandwidth,
-            distance=distance,
-        )
-        return simulate_epr_pipeline(
-            scaled,
-            config,
-            factory=self.epr_factory,
-            ideal_length=schedule.length * distance,
+        return _simulate(
+            uses,
+            durations,
+            config.window,
+            config.bandwidth,
+            schedule.length * distance,
         )
 
 

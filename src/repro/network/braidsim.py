@@ -15,8 +15,8 @@ the active policy, and an open attempted before a same-cycle close sees
 the link as busy (which is exactly what close-first prioritization
 exploits).
 
-Everything that does not depend on the scheduling policy — tasks,
-dominant routes and link masks, DAG arrays, the critical path — is
+Everything that does not depend on the scheduling policy — per-op
+braid flags, segments and local durations, dominant routes and link masks, DAG arrays, the critical path — is
 precompiled into an immutable :class:`~repro.network.plan.BraidPlan`,
 built once per design point and shared by all seven policy simulations
 (see :mod:`repro.network.plan`).
@@ -76,7 +76,6 @@ from ..partition.layout import Placement
 from ..qasm.circuit import Circuit
 from ..qasm.dag import CircuitDag
 from ..qec.codes import DOUBLE_DEFECT, SurfaceCode
-from .events import OpTask
 from .mesh import BraidMesh, Router
 from .plan import DEFAULT_MAX_DETOUR, BraidPlan, braid_plan
 from .policies import POLICIES, Policy
@@ -347,8 +346,8 @@ class BraidSimulator:
     Use :func:`simulate_braids` for the common path (it memoizes the
     policy-independent :class:`~repro.network.plan.BraidPlan` per
     design point), :func:`simulate_plan` to run several policies from
-    one prebuilt plan, and instantiate directly to inspect internals,
-    inject custom tasks, or record a decision trace.
+    one prebuilt plan, and instantiate directly to inspect internals
+    or record a decision trace.
 
     Attributes:
         trace: ``None`` (the default) or a list the engine appends one
@@ -370,7 +369,6 @@ class BraidSimulator:
         factory_routers: tuple[Router, ...] = (),
         config: Optional[BraidSimConfig] = None,
         dag: Optional[CircuitDag] = None,
-        tasks: Optional[list[OpTask]] = None,
         plan: Optional[BraidPlan] = None,
     ) -> None:
         if policy is None:
@@ -393,7 +391,6 @@ class BraidSimulator:
                 factory_routers,
                 max_detour=self.config.max_detour,
                 dag=dag,
-                tasks=tasks,
             )
         elif plan.max_detour != self.config.max_detour:
             raise PlanMismatchError(
@@ -410,7 +407,6 @@ class BraidSimulator:
         self.plan = plan
         self.circuit = plan.circuit
         self.dag = plan.dag
-        self.tasks = plan.tasks
         # The mesh is the only mutable run-time structure shared with
         # callers: reuse a provided one, else make a fresh empty mesh.
         self.mesh = mesh if mesh is not None else BraidMesh(
@@ -508,7 +504,7 @@ class BraidSimulator:
         is_braid = self._is_braid
         segments = self._segments
         successors = self._successors
-        tasks = self.tasks
+        local_cycles = self.plan.local_cycles
         alternatives = self._routes.alternatives
         reserved = self._resv.reserved if self._resv is not None else None
         retire = (
@@ -575,7 +571,7 @@ class BraidSimulator:
             else:
                 phase[op] = _HOLDING
                 meta[seq] = ((op + 1) << 2) | _LOCAL
-                heappush(events, (tasks[op].local_cycles << _SEQ_BITS) | seq)
+                heappush(events, (local_cycles[op] << _SEQ_BITS) | seq)
                 seq += 1
         wakes.add(0)  # reservation wakes above are all later
         heappush(events, seq)
@@ -648,7 +644,7 @@ class BraidSimulator:
                             meta[seq] = ((succ + 1) << 2) | _LOCAL
                             heappush(
                                 events,
-                                ((time + tasks[succ].local_cycles) << _SEQ_BITS)
+                                ((time + local_cycles[succ]) << _SEQ_BITS)
                                 | seq,
                             )
                             seq += 1
@@ -775,7 +771,7 @@ class BraidSimulator:
                                 meta[seq] = ((succ + 1) << 2) | _LOCAL
                                 heappush(
                                     events,
-                                    ((time + tasks[succ].local_cycles)
+                                    ((time + local_cycles[succ])
                                      << _SEQ_BITS)
                                     | seq,
                                 )

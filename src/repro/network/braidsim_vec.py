@@ -406,7 +406,7 @@ class VecBraidSimulator(BraidSimulator):
             # Local op: runs unconditionally for its duration.
             self._phase[op] = _HOLDING
             self._schedule_event(
-                time + self.tasks[op].local_cycles, _LOCAL, op
+                time + self.plan.local_cycles[op], _LOCAL, op
             )
 
     def _complete(self, op: int, time: int) -> None:

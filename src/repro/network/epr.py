@@ -13,6 +13,15 @@ mesh's aggregate capacity).  A pair occupies qubits from launch until
 consumption.  Outputs are the paper's two axes: peak EPR qubit
 occupancy (space) and stall cycles (time), as a function of the
 look-ahead window.
+
+There is one simulation loop, :func:`_simulate`, over two parallel
+lists (use cycle, distribution cycles) in ``(use_cycle, op_index)``
+order.  :func:`simulate_epr_pipeline` converts :class:`EprDemand`
+records (e.g. from :func:`demands_from_schedule`) into those lists;
+:meth:`~repro.arch.multisimd.MultiSimdMachine.epr_pipeline` builds them
+in one walk of a schedule, with no per-demand objects.  Demands are
+told apart by their position in the order, so two demands with the
+same ``op_index`` are two pairs.
 """
 
 from __future__ import annotations
@@ -152,7 +161,36 @@ def simulate_epr_pipeline(
     if ideal_length is None:
         ideal_length = 1 + max((d.use_cycle for d in demands), default=-1)
     ordered = sorted(demands, key=lambda d: (d.use_cycle, d.op_index))
-    if not ordered:
+    model = config.model
+    return _simulate(
+        [d.use_cycle for d in ordered],
+        [
+            model.distribution_cycles(
+                factory, d.endpoint_a, d.endpoint_b, config.distance
+            )
+            for d in ordered
+        ],
+        config.window,
+        config.bandwidth,
+        ideal_length,
+    )
+
+
+def _simulate(
+    uses: list[int],
+    durations: list[float],
+    window: int,
+    bandwidth: int,
+    ideal_length: int,
+) -> EprPipelineResult:
+    """The pipeline loop over demands already in ``(use, op)`` order.
+
+    ``uses[i]`` is demand i's use cycle and ``durations[i]`` its
+    distribution cycles; shared by :func:`simulate_epr_pipeline` and
+    :meth:`~repro.arch.multisimd.MultiSimdMachine.epr_pipeline`.
+    """
+    total = len(uses)
+    if not total:
         return EprPipelineResult(
             schedule_length=float(ideal_length),
             ideal_length=ideal_length,
@@ -163,59 +201,39 @@ def simulate_epr_pipeline(
         )
 
     # Channel pool: next-free times of `bandwidth` servers.
-    servers = [0.0] * config.bandwidth
-    heapq.heapify(servers)
+    servers = [0.0] * bandwidth
+    heapreplace = heapq.heapreplace
     slip = 0.0  # accumulated stall so far
-    launch_times: dict[int, float] = {}
-    ready_times: dict[int, float] = {}
-    consume_times: dict[int, float] = {}
+    launch = [0.0] * total
+    ready = [0.0] * total
+    consume = [0.0] * total
     cursor = 0  # next demand to launch
-
-    for demand in ordered:
-        use_nominal = demand.use_cycle
-        # Launch everything whose window has opened by this op's nominal
-        # use time (launches happen eagerly as the window slides).
-        while cursor < len(ordered):
-            candidate = ordered[cursor]
-            if candidate.use_cycle - config.window > use_nominal:
-                break
-            earliest = max(
-                candidate.use_cycle - config.window + slip, 0.0
-            )
-            server_free = heapq.heappop(servers)
+    for index, use_nominal in enumerate(uses):
+        # Launch everything whose window has opened by this use's
+        # nominal time (launches happen eagerly as the window slides).
+        while cursor < total and uses[cursor] - window <= use_nominal:
+            earliest = max(uses[cursor] - window + slip, 0.0)
+            server_free = servers[0]
             start = max(earliest, server_free)
-            duration = config.model.distribution_cycles(
-                factory, candidate.endpoint_a, candidate.endpoint_b,
-                config.distance,
-            )
-            finish = start + duration
-            heapq.heappush(servers, finish)
-            launch_times[candidate.op_index] = start
-            ready_times[candidate.op_index] = finish
+            finish = start + durations[cursor]
+            heapreplace(servers, finish)
+            launch[cursor] = start
+            ready[cursor] = finish
             cursor += 1
         actual_use = use_nominal + slip
-        ready = ready_times[demand.op_index]
-        if ready > actual_use:
-            slip += ready - actual_use
-            actual_use = ready
-        consume_times[demand.op_index] = actual_use
+        if ready[index] > actual_use:
+            slip += ready[index] - actual_use
+            actual_use = ready[index]
+        consume[index] = actual_use
 
-    total_pairs = len(ordered)
-    stall_cycles = slip
-    schedule_length = ideal_length + slip
-    lifetimes = [
-        consume_times[d.op_index] - launch_times[d.op_index] for d in ordered
-    ]
-    peak = _peak_concurrent(
-        [(launch_times[d.op_index], consume_times[d.op_index]) for d in ordered]
-    )
+    lifetimes = [end - begin for begin, end in zip(launch, consume)]
     return EprPipelineResult(
-        schedule_length=schedule_length,
+        schedule_length=ideal_length + slip,
         ideal_length=ideal_length,
-        stall_cycles=stall_cycles,
-        peak_epr_pairs=peak,
-        total_pairs=total_pairs,
-        mean_lifetime=sum(lifetimes) / len(lifetimes),
+        stall_cycles=slip,
+        peak_epr_pairs=_peak_concurrent(list(zip(launch, consume))),
+        total_pairs=total,
+        mean_lifetime=sum(lifetimes) / total,
     )
 
 

@@ -6,6 +6,13 @@ one cycle, held ``d`` cycles for syndrome stabilization, and closed in
 one cycle.  A T operation consumes a magic state braided in from the
 nearest factory tile (Section 4.5).  Single-qubit operations stay local
 to their tile.
+
+:func:`build_tasks` writes this lowering out as one :class:`OpTask`
+per operation.  The simulators read the same lowering from the arrays
+:meth:`~repro.network.plan.BraidPlan.build` fills in one pass; the
+per-op objects serve the reference loop and
+:func:`~repro.analysis.ir_checks.check_plan`, where they are the
+independent oracle for that builder.
 """
 
 from __future__ import annotations

@@ -1,21 +1,31 @@
 """Precompiled braid simulation plans, shared across scheduling policies.
 
 The Figure 6 methodology runs the *same* compiled circuit under all
-seven scheduling policies.  Everything the braid simulator prepares
-that does not depend on the policy — the network tasks from
-:func:`~repro.network.events.build_tasks` (including the per-site
-nearest-factory resolution), the per-segment dominant route and link
-mask bound from the shared :class:`~repro.network.routing.RouteTable`,
-the dependence DAG's in-degrees/successor tuples, the policy-independent
-critical path, and the lazily materialized criticality array — used to
-be rebuilt by ``BraidSimulator.__init__`` once *per policy point*.
+seven scheduling policies.  Everything the braid simulator needs that
+does not depend on the policy — each op's braid flag, route length,
+local duration and prebound segments (the Section 6.1 lowering with
+the per-site nearest-factory resolution, and each segment's dominant
+route and link mask from the shared
+:class:`~repro.network.routing.RouteTable`), the dependence DAG's
+in-degrees/successor tuples, the policy-independent critical path, and
+the lazily materialized criticality array — is built once per
+``(circuit, placement, mesh shape, code, distance, max_detour)`` into
+a :class:`BraidPlan` and reused by every simulation of that design
+point.
 
-A :class:`BraidPlan` packages all of it, built once per
-``(circuit, placement, mesh shape, code, distance, max_detour)`` and
-reused by every simulation of that design point.  Plans are immutable:
-simulators copy the one mutable seed (`in_degrees`) and treat every
-other field as read-only, which the mutation-guard tests enforce by
-hashing a shared plan's arrays across simulations.
+:meth:`BraidPlan.build` fills those arrays in one pass over the
+circuit, with no per-op objects: endpoints are resolved once per
+qubit, the nearest factory once per magic-state site, and each
+segment tuple once per operand tuple and shared by every op on those
+operands.  :mod:`repro.network.events` lowers the same circuit into
+one task object per op; that lowering serves the reference loop and
+:func:`~repro.analysis.ir_checks.check_plan`, which makes it an
+independent oracle for this builder.
+
+Plans are immutable: simulators copy the one mutable seed
+(`in_degrees`) and treat every other field as read-only, which the
+mutation-guard tests enforce by hashing a shared plan's arrays across
+simulations.
 
 :func:`braid_plan` is the process-wide memo.  Like the route-table
 registry it is LRU-bounded (:data:`PLAN_MEMO_CAPACITY` plans), so a
@@ -38,9 +48,9 @@ from ..analysis.diagnostics import PlanMismatchError
 from ..partition.layout import Placement
 from ..qasm.circuit import Circuit
 from ..qasm.dag import CircuitDag
+from ..qasm.gates import GateKind, GateSpec
 from ..qec.codes import DOUBLE_DEFECT, SurfaceCode
-from .events import OpTask, build_tasks
-from .mesh import BraidMesh, Router
+from .mesh import BraidMesh, Router, manhattan
 from .routing import RouteTable, route_table
 
 __all__ = [
@@ -66,11 +76,12 @@ class BraidPlan:
         rows / cols: Mesh tile shape the routes were compiled for.
         max_detour: Adaptive-routing detour radius of :attr:`routes`.
         dag: The dependence DAG (owner of the lazy criticality array).
-        tasks: One :class:`~repro.network.events.OpTask` per operation.
         is_braid: Per-op braid flag.
         route_length: Per-op minimal total route length (policy metric).
         segments: Per-op tuples of ``(src, dst, hold, min_len, dor_path,
             dor_mask)``, dominant route prebound from :attr:`routes`.
+            Ops on the same operands share one tuple.
+        local_cycles: Per-op tile-local duration (0 for braid ops).
         in_degrees: Per-op predecessor counts (simulators copy this).
         successors: Per-op successor index tuples.
         sources: Initially-ready operation indices.
@@ -82,8 +93,8 @@ class BraidPlan:
 
     __slots__ = (
         "circuit", "placement", "code", "distance", "factory_routers",
-        "rows", "cols", "max_detour", "dag", "tasks", "num_ops",
-        "is_braid", "route_length", "segments", "in_degrees",
+        "rows", "cols", "max_detour", "dag", "num_ops",
+        "is_braid", "route_length", "segments", "local_cycles", "in_degrees",
         "successors", "sources", "critical_path", "routes",
     )
 
@@ -105,43 +116,108 @@ class BraidPlan:
         factory_routers: tuple[Router, ...] = (),
         max_detour: int = DEFAULT_MAX_DETOUR,
         dag: Optional[CircuitDag] = None,
-        tasks: Optional[list[OpTask]] = None,
     ) -> "BraidPlan":
-        """Compile one plan (no memoization; see :func:`braid_plan`)."""
-        if tasks is None:
-            tasks = build_tasks(
-                circuit, placement, mesh, code, distance, factory_routers
-            )
-        tasks = tuple(tasks)
+        """Compile one plan in one pass (no memoization; see :func:`braid_plan`).
+
+        Lowers each op the way Section 6.1 does: a 2-qubit op is two
+        segments between its operands' tiles, a magic-state consumer
+        one segment from the nearest factory (ties broken by router
+        id), anything else tile-local work of ``code.op_cycles``.
+        Endpoints are resolved once per qubit and the prebound segment
+        tuples once per operand tuple, so ops on the same qubits share
+        one tuple.
+
+        Raises:
+            ValueError: On ``distance < 1``, a composite gate, or a
+                magic-state consumer with no factory router (the same
+                messages as the task lowering in
+                :mod:`repro.network.events`).
+        """
+        if distance < 1:
+            raise ValueError(f"distance must be >= 1, got {distance}")
+        factory_routers = tuple(factory_routers)
+        endpoint: dict[str, Router] = {
+            q: mesh.tile_router(placement.position(q))
+            for q in placement.positions
+        }
+        if not factory_routers and any(
+            op.consumes_magic_state and op.qubits[0] in endpoint
+            for op in circuit
+        ):
+            raise ValueError("T operation requires at least one factory site")
         dag = dag or CircuitDag(circuit)
-        n = len(tasks)
+        n = len(circuit)
         successors = dag.successor_tuples()[:n] if n else ()
-        in_degrees = tuple(dag.in_degrees()[:n])
         routes: RouteTable = route_table(mesh.rows, mesh.cols, max_detour)
-        is_braid = tuple(task.is_braid for task in tasks)
-        route_length = tuple(
-            task.route_length if task.is_braid else 0 for task in tasks
-        )
-        segments = []
-        for task in tasks:
-            infos = []
-            for seg in task.segments:
-                dor_path, dor_mask = routes.dor(seg.src, seg.dst)
-                infos.append(
-                    (seg.src, seg.dst, seg.hold, seg.min_length,
-                     dor_path, dor_mask)
-                )
-            segments.append(tuple(infos))
+        dor = routes.dor
+        segment_busy = distance + 1  # open cycle + stabilization hold
+
+        # Per gate name: its spec and, for tile-local gates, the cycles.
+        specs: dict[str, GateSpec] = {}
+        local_of: dict[str, int] = {}
+        # Per operand tuple: (segments, route_length, busy cycles).  A
+        # placed qubit owns its tile, so this also resolves the nearest
+        # factory once per magic-state site.
+        braid_of: dict[tuple[str, ...], tuple] = {}
+
+        is_braid: list[bool] = []
+        route_length: list[int] = []
+        segments: list[tuple] = []
+        local_cycles: list[int] = []
         # Policy-independent critical path: forward ASAP recurrence over
-        # the task latencies (identical arithmetic to the per-policy
-        # loop it replaces, shared by all simulations of this plan).
+        # the op latencies, shared by all simulations of this plan.
         start = [0] * n
         critical = 0
-        for index in range(n):  # program order is topological
-            finish = start[index] + tasks[index].busy_cycles
+        for index, op in enumerate(circuit):
+            gate = op.gate
+            spec = specs.get(gate)
+            if spec is None:
+                spec = specs[gate] = op.spec
+            if spec.kind is GateKind.COMPOSITE:
+                raise ValueError(
+                    f"operation {index} ({gate}) must be decomposed before "
+                    "network simulation"
+                )
+            qubits = op.qubits
+            if len(qubits) == 2 or spec.consumes_magic_state:
+                entry = braid_of.get(qubits)
+                if entry is None:
+                    if len(qubits) == 2:
+                        src = endpoint[qubits[0]]
+                        dst = endpoint[qubits[1]]
+                        count = 2
+                    else:
+                        dst = endpoint[qubits[0]]
+                        src = min(
+                            factory_routers,
+                            key=lambda f: (manhattan(f, dst), f),
+                        )
+                        count = 1
+                    min_len = manhattan(src, dst)
+                    dor_path, dor_mask = dor(src, dst)
+                    info = (src, dst, distance, min_len, dor_path, dor_mask)
+                    entry = braid_of[qubits] = (
+                        (info,) * count, count * min_len, count * segment_busy
+                    )
+                segs, length, busy = entry
+                is_braid.append(True)
+                route_length.append(length)
+                segments.append(segs)
+                local_cycles.append(0)
+            else:
+                busy = local_of.get(gate)
+                if busy is None:
+                    busy = local_of[gate] = max(
+                        1, round(code.op_cycles(spec.kind, distance))
+                    )
+                is_braid.append(False)
+                route_length.append(0)
+                segments.append(())
+                local_cycles.append(busy)
+            finish = start[index] + busy
             if finish > critical:
                 critical = finish
-            for succ in successors[index]:
+            for succ in successors[index]:  # program order is topological
                 if finish > start[succ]:
                     start[succ] = finish
         return cls(
@@ -149,17 +225,17 @@ class BraidPlan:
             placement=placement,
             code=code,
             distance=distance,
-            factory_routers=tuple(factory_routers),
+            factory_routers=factory_routers,
             rows=mesh.rows,
             cols=mesh.cols,
             max_detour=max_detour,
             dag=dag,
-            tasks=tasks,
             num_ops=n,
-            is_braid=is_braid,
-            route_length=route_length,
+            is_braid=tuple(is_braid),
+            route_length=tuple(route_length),
             segments=tuple(segments),
-            in_degrees=in_degrees,
+            local_cycles=tuple(local_cycles),
+            in_degrees=tuple(dag.in_degrees()[:n]),
             successors=successors,
             sources=tuple(dag.sources()),
             critical_path=critical,

@@ -178,7 +178,7 @@ def _schedule_at_ii(
     """One modulo-scheduling attempt at a fixed ``ii`` (None = refit)."""
     table = ReservationTable(ii)
     n = plan.num_ops
-    tasks = plan.tasks
+    local_cycles = plan.local_cycles
     is_braid = plan.is_braid
     successors = plan.successors
     ready = [0] * n
@@ -187,7 +187,7 @@ def _schedule_at_ii(
     makespan = 0
     for op in range(n):  # program order is topological
         if not is_braid[op]:
-            end = ready[op] + tasks[op].local_cycles
+            end = ready[op] + local_cycles[op]
             reserved.append(())
         else:
             cursor = ready[op]

@@ -332,6 +332,29 @@ class TestPlanDefects:
         diags = errors_of(check_plan(bad), "plan")
         assert any("route_length" in d.message for d in diags)
 
+    def test_local_cycles_mismatch(self):
+        plan = tiny_plan()
+        index = next(
+            i for i in range(plan.num_ops) if not plan.is_braid[i]
+        )
+        cycles = list(plan.local_cycles)
+        cycles[index] += 1
+        bad = corrupted(plan, local_cycles=tuple(cycles))
+        diags = errors_of(check_plan(bad), "plan")
+        assert any("local_cycles" in d.message for d in diags)
+
+    def test_wrong_factory_source(self):
+        plan = tiny_plan()
+        index = next(
+            i for i, op in enumerate(plan.circuit)
+            if op.consumes_magic_state
+        )
+        factory = plan.segments[index][0][0]
+        other = (0, 1) if factory == (0, 0) else (0, 0)  # on-mesh router
+        bad = replace_segment(plan, index, 0, src=other)
+        diags = errors_of(check_plan(bad), "plan")
+        assert any("build_tasks gives" in d.message for d in diags)
+
     def test_circuit_length_drift(self):
         plan = tiny_plan()
         plan.circuit.apply("H", "q1")  # mutate the planned circuit

@@ -10,25 +10,33 @@ a design point.  These tests pin three contracts:
 * a plan's arrays are *unchanged* after simulations run from it (the
   mutation guard hashes them before and after);
 * the process-wide memo builds one plan per design point and validates
-  placement identity on hits.
+  placement identity on hits;
+* the one-pass builder lowers every op exactly as
+  :func:`~repro.network.events.build_tasks` (the reference loop's
+  lowering) does, errors included.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network import (
     BraidMesh,
     BraidSimConfig,
     BraidSimulator,
     braid_plan,
+    build_tasks,
     plan_memo_stats,
     reset_plan_memo,
     simulate_braids,
     simulate_braids_reference,
     simulate_plan,
 )
-from repro.network.plan import BraidPlan
-from repro.partition import GridShape, naive_layout
-from repro.qasm import Circuit
+from repro.network.plan import DEFAULT_MAX_DETOUR, BraidPlan
+from repro.network.routing import route_table
+from repro.partition import GridShape, Placement, naive_layout
+from repro.qasm import Circuit, CircuitDag
+from repro.qec.codes import DOUBLE_DEFECT, PLANAR
 from repro.runner import StageCache
 from repro.runner.stages import POLICIES, compute_frontend, compute_layout
 
@@ -97,7 +105,7 @@ class TestPlanImmutability:
             plan.sources,
             plan.critical_path,
             tuple(plan.criticality()),
-            tuple(task.index for task in plan.tasks),
+            plan.local_cycles,
         ))
 
     def test_shared_plan_unchanged_across_policies(self):
@@ -216,3 +224,145 @@ class TestPlanMemo:
             machine.simulate(6, 9, plan=plan)
         with pytest.raises(ValueError, match="distance"):
             BraidSimulator(policy=POLICIES[6], distance=9, plan=plan)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass builder against the build_tasks oracle
+
+ONE_QUBIT = ["H", "X", "Z", "S", "SDG", "PREPZ", "MEASZ", "T", "TDG"]
+TWO_QUBIT = ["CNOT", "CZ", "SWAP"]
+
+
+def plan_from_tasks(circuit, placement, mesh, code, distance, factories):
+    """The plan arrays re-derived from ``build_tasks``' per-op objects."""
+    tasks = build_tasks(circuit, placement, mesh, code, distance, factories)
+    routes = route_table(mesh.rows, mesh.cols, DEFAULT_MAX_DETOUR)
+    successors = CircuitDag(circuit).successor_tuples()
+    start = [0] * len(tasks)
+    critical = 0
+    for task in tasks:
+        finish = start[task.index] + task.busy_cycles
+        critical = max(critical, finish)
+        for succ in successors[task.index]:
+            start[succ] = max(start[succ], finish)
+    return {
+        "is_braid": tuple(t.is_braid for t in tasks),
+        "route_length": tuple(
+            t.route_length if t.is_braid else 0 for t in tasks
+        ),
+        "segments": tuple(
+            tuple(
+                (s.src, s.dst, s.hold, s.min_length, *routes.dor(s.src, s.dst))
+                for s in t.segments
+            )
+            for t in tasks
+        ),
+        "local_cycles": tuple(t.local_cycles for t in tasks),
+        "critical_path": critical,
+    }
+
+
+@st.composite
+def design_points(draw):
+    rows = draw(st.integers(min_value=1, max_value=3))
+    cols = draw(st.integers(min_value=1, max_value=3))
+    grid = GridShape(rows, cols)
+    count = draw(st.integers(min_value=2, max_value=max(2, rows * cols)))
+    sites = draw(st.permutations(grid.sites()))
+    qubits = [f"q{i}" for i in range(count)]
+    if count > len(sites):  # a 1x1 grid holds one qubit
+        grid = GridShape(1, 2)
+        sites = grid.sites()
+    placement = Placement(grid, dict(zip(qubits, sites)))
+    circuit = Circuit(name="gen", qubits=qubits)
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        if draw(st.booleans()):
+            circuit.apply(
+                draw(st.sampled_from(ONE_QUBIT)), draw(st.sampled_from(qubits))
+            )
+        else:
+            a, b = draw(
+                st.lists(
+                    st.sampled_from(qubits), min_size=2, max_size=2,
+                    unique=True,
+                )
+            )
+            circuit.apply(draw(st.sampled_from(TWO_QUBIT)), a, b)
+    mesh = BraidMesh(grid.rows, grid.cols)
+    routers = [
+        (r, c)
+        for r in range(mesh.router_rows)
+        for c in range(mesh.router_cols)
+    ]
+    factories = tuple(
+        draw(st.lists(st.sampled_from(routers), max_size=3, unique=True))
+    )
+    code = draw(st.sampled_from([DOUBLE_DEFECT, PLANAR]))
+    distance = draw(st.integers(min_value=1, max_value=7))
+    return circuit, placement, mesh, code, distance, factories
+
+
+@settings(max_examples=150, deadline=None)
+@given(point=design_points())
+def test_one_pass_plan_matches_build_tasks(point):
+    circuit, placement, mesh, code, distance, factories = point
+    try:
+        expected = plan_from_tasks(*point)
+    except ValueError as error:  # a T with no factory router
+        with pytest.raises(ValueError) as caught:
+            BraidPlan.build(circuit, placement, mesh, code, distance, factories)
+        assert str(caught.value) == str(error)
+        return
+    plan = BraidPlan.build(circuit, placement, mesh, code, distance, factories)
+    actual = {name: getattr(plan, name) for name in expected}
+    assert actual == expected
+
+
+def test_equidistant_factories_tie_break_by_router():
+    qubits = ["a", "b"]
+    placement = Placement(GridShape(2, 2), {"a": (1, 1), "b": (0, 0)})
+    c = Circuit(qubits=qubits)
+    c.apply("T", "a")
+    mesh = BraidMesh(2, 2)
+    factories = ((2, 1), (1, 2), (1, 0), (0, 1))  # all one hop from (1, 1)
+    plan = BraidPlan.build(c, placement, mesh, distance=3,
+                           factory_routers=factories)
+    assert plan.segments[0][0][:2] == ((0, 1), (1, 1))
+    assert plan.segments == plan_from_tasks(
+        c, placement, mesh, DOUBLE_DEFECT, 3, factories
+    )["segments"]
+
+
+def _composite_circuit():
+    c = Circuit(qubits=["a", "b", "c"])
+    c.apply("CNOT", "a", "b")
+    c.apply("TOFFOLI", "a", "b", "c")
+    return c
+
+
+def _t_circuit():
+    c = Circuit(qubits=["a", "b", "c"])
+    c.apply("TOFFOLI", "a", "b", "c")  # the factory error comes first
+    c.apply("T", "c")
+    return c
+
+
+@pytest.mark.parametrize(
+    "circuit, distance, factories",
+    [
+        (_composite_circuit(), 3, ((0, 0),)),
+        (_composite_circuit(), 0, ((0, 0),)),
+        (_t_circuit(), 3, ()),
+    ],
+    ids=["composite", "distance", "no-factory"],
+)
+def test_errors_match_build_tasks(circuit, distance, factories):
+    placement = naive_layout(["a", "b", "c"], GridShape(2, 2))
+    mesh = BraidMesh(2, 2)
+    with pytest.raises(ValueError) as oracle:
+        build_tasks(circuit, placement, mesh, DOUBLE_DEFECT, distance,
+                    factories)
+    with pytest.raises(ValueError) as caught:
+        BraidPlan.build(circuit, placement, mesh, DOUBLE_DEFECT, distance,
+                        factories)
+    assert str(caught.value) == str(oracle.value)

@@ -1,5 +1,7 @@
 """Tests for teleportation costs and the pipelined EPR distributor."""
 
+import dataclasses
+
 import pytest
 
 from repro.frontend import asap_schedule
@@ -13,6 +15,8 @@ from repro.network import (
 )
 from repro.partition import GridShape, naive_layout
 from repro.qasm import Circuit
+from repro.runner import StageCache
+from repro.runner.stages import compute_simd
 
 
 class TestTeleportModel:
@@ -135,3 +139,60 @@ class TestDemandsFromSchedule:
         placement = naive_layout(["a", "b"], GridShape(1, 2))
         demands = demands_from_schedule(asap_schedule(c), placement)
         assert [d.use_cycle for d in demands] == [0, 1]
+
+
+class TestMachinePipelineMatchesDemands:
+    """``MultiSimdMachine.epr_pipeline`` walks the schedule itself; it
+    must equal the demand-list path it replaced, field for field."""
+
+    @pytest.fixture(scope="class")
+    def simds(self):
+        cache = StageCache()
+        return {
+            app: compute_simd(cache, app, size)
+            for app, size in (("gse", 3), ("sq", 2), ("im", 8))
+        }
+
+    @pytest.mark.parametrize("app", ["gse", "sq", "im"])
+    @pytest.mark.parametrize("window", [1, 64, 512])
+    @pytest.mark.parametrize("bandwidth", [None, 2])
+    def test_equals_simulate_over_scaled_demands(
+        self, simds, app, window, bandwidth
+    ):
+        machine, schedule = simds[app].machine, simds[app].schedule
+        distance = 3
+        demands = demands_from_schedule(
+            schedule, machine.placement, factory=machine.epr_factory
+        )
+        assert demands  # every tiny app teleports
+        if bandwidth is None:
+            # The provisioning rule: ~2/3 utilization at mean demand.
+            service = sum(
+                DEFAULT_TELEPORT_MODEL.distribution_cycles(
+                    machine.epr_factory, d.endpoint_a, d.endpoint_b, distance
+                )
+                for d in demands
+            )
+            ideal = max(1, schedule.length * distance)
+            expected_bandwidth = max(4, round(1.5 * service / ideal))
+        else:
+            expected_bandwidth = bandwidth
+        scaled = [
+            dataclasses.replace(d, use_cycle=d.use_cycle * distance)
+            for d in demands
+        ]
+        expected = simulate_epr_pipeline(
+            scaled,
+            EprPipelineConfig(
+                window=window * distance,
+                bandwidth=expected_bandwidth,
+                distance=distance,
+            ),
+            factory=machine.epr_factory,
+            ideal_length=schedule.length * distance,
+        )
+        actual = machine.epr_pipeline(
+            schedule, distance, window=window, bandwidth=bandwidth
+        )
+        assert actual == expected
+        assert actual.total_pairs == len(demands)
