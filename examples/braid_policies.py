@@ -1,7 +1,7 @@
 """Braid scheduling policy exploration (the Figure 6 experiment).
 
-Sweeps the paper's seven prioritization policies plus the two
-classical-scheduler families (7 reservation-table, 8 matrix-scoreboard)
+Sweeps the paper's seven prioritization policies plus policy 7 (the
+reservation-table family) and policy 8 (close-first in program order)
 on a workload of your choice through the staged
 :class:`repro.runner.SweepRunner`: the frontend is compiled once and
 shared by every policy (see the cache statistics the run prints), and

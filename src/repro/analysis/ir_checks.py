@@ -32,13 +32,11 @@ Passes:
   derived arrays (:mod:`repro.network.braidsim_vec`) repacked to
   big-int masks and compared against the plan they were derived
   from; a no-op returning ``[]`` when numpy is absent.
-* :func:`check_sched` — the scheduler-family artifacts of
-  :mod:`repro.network.policies_sched`: the reservation schedule is
-  replayed against a fresh modulo table (no double-booked link-cycle
-  slot, dependence-respecting reserved cycles, achieved initiation
-  interval >= the recomputed ``ii()`` bound, makespan >= the critical
-  path), and the scoreboard dependency matrix is rebuilt from the
-  DAG's successor lists and compared row for row.
+* :func:`check_sched` — policy 7's reservation schedule from
+  :mod:`repro.network.policies_sched`, replayed against a fresh modulo
+  table (no double-booked link-cycle slot, dependence-respecting
+  reserved cycles, achieved initiation interval >= the recomputed
+  ``ii()`` bound, makespan >= the critical path).
 
 All passes return ``list[Diagnostic]`` (empty == verified) and never
 raise on malformed input; :func:`check_point_artifacts` composes them
@@ -679,22 +677,20 @@ def check_vec_plan(
 
 
 # ---------------------------------------------------------------------------
-# Scheduler-family pass (policies 7/8 artifacts)
+# Scheduler-family pass (policy 7's reservation schedule)
 
 
 def check_sched(
     plan: BraidPlan,
     artifact: str = "plan",
     schedule=None,
-    matrix=None,
 ) -> list[Diagnostic]:
-    """Verify the scheduler-family artifacts derived from ``plan``.
+    """Verify the reservation schedule derived from ``plan``.
 
     By default validates exactly what the engines will use — the
     memoized :func:`~repro.network.policies_sched.reservation_schedule`
-    and :func:`~repro.network.policies_sched.scoreboard_matrix` of this
-    plan; pass ``schedule``/``matrix`` to audit externally revived or
-    suspect artifacts instead.
+    of this plan; pass ``schedule`` to audit an externally revived or
+    suspect schedule instead.
 
     The reservation schedule is *replayed*: every reserved window is
     re-booked into a fresh :class:`~repro.network.policies_sched.
@@ -708,17 +704,13 @@ def check_sched(
         ReservationTable,
         ii_lower_bound,
         reservation_schedule,
-        scoreboard_matrix,
     )
 
     out: list[Diagnostic] = []
     n = plan.num_ops
     if schedule is None:
         schedule = reservation_schedule(plan)
-    if matrix is None:
-        matrix = scoreboard_matrix(plan)
 
-    # -- reservation schedule -------------------------------------------
     structural = False
     if len(schedule.reserved) != n or len(schedule.finish) != n:
         out.append(_diag(
@@ -817,42 +809,6 @@ def check_sched(
                 f"critical path {plan.critical_path}",
             ))
 
-    # -- scoreboard dependency matrix -----------------------------------
-    if len(matrix) != n:
-        out.append(_diag(
-            Severity.ERROR, "sched", artifact, "matrix",
-            f"dependency matrix has {len(matrix)} rows for {n} ops",
-        ))
-        return out
-    expected = [0] * n
-    for op, succs in enumerate(plan.successors):
-        bit = 1 << op
-        for succ in succs:
-            expected[succ] |= bit
-    for op in range(n):
-        row = matrix[op]
-        where = f"op {op}"
-        if row >> n:
-            out.append(_diag(
-                Severity.ERROR, "sched", artifact, where,
-                "matrix row has dependency bits beyond the op range",
-            ))
-        if row & (1 << op):
-            out.append(_diag(
-                Severity.ERROR, "sched", artifact, where,
-                "matrix row marks the op as its own predecessor",
-            ))
-        if row.bit_count() != plan.in_degrees[op]:
-            out.append(_diag(
-                Severity.ERROR, "sched", artifact, where,
-                f"matrix row popcount {row.bit_count()} != plan "
-                f"in-degree {plan.in_degrees[op]}",
-            ))
-        if row != expected[op]:
-            out.append(_diag(
-                Severity.ERROR, "sched", artifact, where,
-                "matrix row disagrees with the DAG's successor lists",
-            ))
     return out
 
 

@@ -5,8 +5,8 @@ toolflow:
 
 * :func:`check_grid` — compile every unique (app, size, layout,
   distance) artifact of a sweep grid (Fig. 6 by default) and run all
-  passes over the lowered circuit, DAG, placement, braid plan, the
-  scheduler-family reservation/scoreboard artifacts, and (when numpy
+  passes over the lowered circuit, DAG, placement, braid plan, policy
+  7's reservation schedule, and (when numpy
   is installed) the vectorized engine's derived word arrays, returning
   a :class:`CheckReport` (this backs ``python -m repro check``).
 * :func:`stage_verifier` — per-stage hooks for

@@ -25,7 +25,6 @@ from .mesh import BraidMesh, manhattan, path_links
 from .plan import BraidPlan, braid_plan, plan_memo_stats, reset_plan_memo
 from .policies import ALL_POLICIES, POLICIES, Policy
 from .policies_sched import (
-    MatrixScoreboard,
     ReservationSchedule,
     ReservationTable,
     build_reservation,
@@ -59,7 +58,6 @@ __all__ = [
     "Policy",
     "POLICIES",
     "ALL_POLICIES",
-    "MatrixScoreboard",
     "ReservationSchedule",
     "ReservationTable",
     "build_reservation",

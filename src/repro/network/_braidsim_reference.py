@@ -318,7 +318,8 @@ def simulate_braids_reference(
     if policy.family != "reactive":
         raise ValueError(
             f"{policy.name} ({policy.family} family) postdates the "
-            "preserved seed loop; its oracle is the flat-vs-vec "
+            "preserved seed loop: policy 7 is the only policy without "
+            "a seed-loop oracle, and its oracle is the flat-vs-vec "
             "differential harness"
         )
     sim = ReferenceBraidSimulator(

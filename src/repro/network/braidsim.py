@@ -42,25 +42,23 @@ locals:
   released or adaptivity widens its candidate set;
 * each fixpoint pass fixes its open order before its closes run.
   Close-first policies (5, 6 and 8) walk the closes, then the opens
-  in the order of an incrementally-maintained queue — arrival-ordered
-  FIFO entries for Policy 5, criticality buckets with cached
-  per-bucket sorts for Policy 6, the scoreboard's ready bitset for
+  in policy order — arrival-ordered FIFO entries for Policy 5 and
+  criticality buckets with cached per-bucket sorts for Policy 6, both
+  incrementally maintained, and a plain program-index sort for
   Policy 8.  Interleaved policies walk closes and opens merged by op
   index, so their criticality and length keys are never consulted.
 
-The scheduler families (policies 7 and 8, machinery in
-:mod:`.policies_sched`) run in the same loop: the reservation family
-gates each segment's open on its reserved cycle and wakes exactly
-there, and the scoreboard family takes its open order from a
-bitset-backed ready queue (oldest program index first) while a
-dependency bit-matrix tracks wakeups.
+The reservation family (policy 7, machinery in :mod:`.policies_sched`)
+runs in the same loop: it gates each segment's open on its reserved
+cycle and wakes exactly there.
 
-For policies 0--6, results are bit-identical to the seed event loop,
-which is preserved in :mod:`repro.network._braidsim_reference` and
-enforced by the golden equivalence tests.  The scheduler families have
-no seed oracle; their contract is flat-vs-vec bit-identity of the full
-decision trace (:attr:`BraidSimulator.trace`), enforced by the
-cross-engine differential harness against the method-per-step loop of
+For the reactive policies (0--6 and 8), results are bit-identical to
+the seed event loop, which is preserved in
+:mod:`repro.network._braidsim_reference` and enforced by the golden
+equivalence tests.  Policy 7 has no seed oracle; its contract is
+flat-vs-vec bit-identity of the full decision trace
+(:attr:`BraidSimulator.trace`), enforced by the cross-engine
+differential harness against the method-per-step loop of
 :class:`~.braidsim_vec.VecBraidSimulator`.
 """
 
@@ -79,12 +77,7 @@ from ..qec.codes import DOUBLE_DEFECT, SurfaceCode
 from .mesh import BraidMesh, Router
 from .plan import DEFAULT_MAX_DETOUR, BraidPlan, braid_plan
 from .policies import POLICIES, Policy
-from .policies_sched import (
-    MatrixScoreboard,
-    ScoreboardReadyQueue,
-    reservation_schedule,
-    scoreboard_matrix,
-)
+from .policies_sched import reservation_schedule
 
 __all__ = [
     "BraidSimConfig",
@@ -444,7 +437,7 @@ class BraidSimulator:
         self._fail_epoch = [-1] * n
         self._fail_adaptive = [False] * n
 
-        # Scheduler families (policies 7/8): plan-derived artifacts,
+        # Reservation family (policy 7): the plan-derived schedule,
         # memoized per plan and shared with the vec engine and the IR
         # verifier (see repro.network.policies_sched).
         self._resv = (
@@ -452,26 +445,20 @@ class BraidSimulator:
             if policy.family == "reservation"
             else None
         )
-        self._scoreboard = (
-            MatrixScoreboard(scoreboard_matrix(plan))
-            if policy.family == "scoreboard"
-            else None
-        )
 
-        # Close-first policies take each pass's open order from an
-        # incrementally-maintained queue instead of sorting the whole
-        # ready set (see the queue classes above).
-        self._open_queue: Optional[
-            _FifoReadyQueue | _BucketReadyQueue | ScoreboardReadyQueue
-        ]
-        if self._scoreboard is not None:
-            self._open_queue = ScoreboardReadyQueue(self._scoreboard)
-        elif policy.closes_first and policy.combined_length_rule:
+        # Close-first policies 5 and 6 take each pass's open order from
+        # an incrementally-maintained queue instead of sorting the
+        # whole ready set (see the queue classes above); policy 8's
+        # program-index order is a plain sort.
+        self._open_queue: Optional[_FifoReadyQueue | _BucketReadyQueue]
+        if policy.closes_first and policy.combined_length_rule:
             self._open_queue = _BucketReadyQueue(
                 self._criticality, self._route_length, self._arrival
             )
         elif policy.closes_first and not (
-            policy.use_criticality or policy.use_length
+            policy.use_criticality
+            or policy.use_length
+            or policy.program_order
         ):
             self._open_queue = _FifoReadyQueue(self._arrival)
         else:
@@ -507,9 +494,6 @@ class BraidSimulator:
         local_cycles = self.plan.local_cycles
         alternatives = self._routes.alternatives
         reserved = self._resv.reserved if self._resv is not None else None
-        retire = (
-            self._scoreboard.retire if self._scoreboard is not None else None
-        )
         queue = self._open_queue
         if queue is not None:
             queue_add = queue.add
@@ -618,8 +602,6 @@ class BraidSimulator:
                         trace.append(("done", time, op))
                     phase[op] = _DONE
                     completion = time
-                    if retire is not None:
-                        retire(op, successors)
                     for succ in successors[op]:
                         left = remaining[succ] - 1
                         remaining[succ] = left
@@ -743,8 +725,6 @@ class BraidSimulator:
                             trace.append(("done", time, op))
                         phase[op] = _DONE
                         completion = time
-                        if retire is not None:
-                            retire(op, successors)
                         for succ in successors[op]:
                             left = remaining[succ] - 1
                             remaining[succ] = left
@@ -884,14 +864,6 @@ class BraidSimulator:
                 f"unfinished operations (first: {unfinished[:5]}); this "
                 "is a simulator bug"
             )
-        if self._scoreboard is not None:
-            dirty = self._scoreboard.outstanding()
-            if dirty:
-                raise RuntimeError(
-                    f"scoreboard finished with {dirty} rows still "
-                    "holding dependency bits; retire bookkeeping "
-                    "diverged from the event loop"
-                )
         return BraidSimResult(
             schedule_length=completion,
             critical_path=plan.critical_path,
@@ -906,11 +878,12 @@ class BraidSimulator:
 
 
 def _require_reference_support(policy: Policy) -> None:
-    """The preserved seed loop predates the scheduler families."""
+    """The preserved seed loop predates policy 7's reservation family."""
     if policy.family != "reactive":
         raise ValueError(
             f"{policy.name} ({policy.family} family) has no reference-"
-            "engine implementation; its oracle is the flat-vs-vec "
+            "engine implementation: policy 7 is the only policy without "
+            "a seed-loop oracle, and its oracle is the flat-vs-vec "
             'differential harness (use engine="flat" or "vec")'
         )
 

@@ -43,11 +43,9 @@ cached per :class:`~.plan.BraidPlan` identity and shared by all
 policy simulations of a design point; they are derived *from* the plan
 and never written back — the plan stays read-only.
 
-The scheduler families (policies 7/8) reuse this loop unchanged except
-that the scoreboard family's dependency rows and ready bitset are kept
-as ``<u8`` word arrays (:class:`_VecMatrixScoreboard`), so the
-oldest-ready selection is one ``unpackbits``/``nonzero`` pass — the
-vectorized select the flat engine's big-int walk mirrors bit for bit.
+Policy 8 ranks opens by program index alone, so its scalar sort and its
+lexsort both order by op.  The reservation family (policy 7) reuses this
+loop unchanged apart from the reserved-cycle gate on eligible opens.
 
 numpy is an optional dependency (the ``vec`` extra): importing this
 module without it is fine, but constructing the engine raises an
@@ -80,7 +78,6 @@ from .braidsim import (
     BraidSimulator,
 )
 from .plan import BraidPlan
-from .policies_sched import ScoreboardReadyQueue, scoreboard_matrix
 
 __all__ = ["VecBraidSimulator", "NUMPY_HINT", "vec_plan_arrays"]
 
@@ -174,59 +171,6 @@ class _VecPlanArrays:
         return self._matrix
 
 
-_WORD64 = 0xFFFFFFFFFFFFFFFF
-
-
-class _VecMatrixScoreboard:
-    """Word-packed flavor of :class:`~.policies_sched.MatrixScoreboard`.
-
-    Same bits, same protocol — dependency rows and the ready bitset
-    live as ``<u8`` word arrays (the engine's link-mask idiom), column
-    clears are fancy-indexed word ANDs, and the oldest-ready selection
-    is one ``unpackbits`` + ``nonzero`` over the ready words instead
-    of a per-bit Python walk.
-    """
-
-    __slots__ = ("rows_words", "ready_words", "num_ops")
-
-    def __init__(self, matrix, num_ops: int) -> None:
-        words = max(1, (num_ops + 63) // 64)
-        if num_ops:
-            self.rows_words = np.stack(
-                [_mask_words(row, words) for row in matrix]
-            ).copy()  # frombuffer rows are read-only; columns mutate
-        else:
-            self.rows_words = np.zeros((0, words), dtype=_WORD_DTYPE)
-        self.ready_words = np.zeros(words, dtype=_WORD_DTYPE)
-        self.num_ops = num_ops
-
-    def retire(self, op: int, successors) -> None:
-        succs = successors[op]
-        if succs:
-            clear = np.uint64(~(1 << (op & 63)) & _WORD64)
-            self.rows_words[list(succs), op >> 6] &= clear
-
-    def row_clear(self, op: int) -> bool:
-        return not self.rows_words[op].any()
-
-    def outstanding(self) -> int:
-        return int(self.rows_words.any(axis=1).sum())
-
-    def add_ready(self, op: int) -> None:
-        self.ready_words[op >> 6] |= np.uint64(1 << (op & 63))
-
-    def remove_ready(self, op: int) -> None:
-        self.ready_words[op >> 6] &= np.uint64(
-            ~(1 << (op & 63)) & _WORD64
-        )
-
-    def ordered_ready(self) -> list[int]:
-        bits = np.unpackbits(
-            self.ready_words.view(np.uint8), bitorder="little"
-        )
-        return np.nonzero(bits)[0].tolist()
-
-
 _VEC_MEMO: "OrderedDict[int, _VecPlanArrays]" = OrderedDict()
 VEC_MEMO_CAPACITY = 8
 
@@ -271,19 +215,9 @@ class VecBraidSimulator(BraidSimulator):
         if np is None:
             raise ImportError(NUMPY_HINT)
         super().__init__(*args, **kwargs)
-        if self._scoreboard is not None:
-            # Scoreboard family: swap in the word-packed flavor (same
-            # bits, vectorized select) before anything enqueues.
-            self._scoreboard = _VecMatrixScoreboard(
-                scoreboard_matrix(self.plan), self.num_ops
-            )
-            self._open_queue = ScoreboardReadyQueue(self._scoreboard)
-        else:
-            # The incremental ready queues are superseded: small rounds
-            # sort directly (cheaper than queue upkeep at fig6's
-            # ready-set sizes), large rounds lexsort over prefetched
-            # arrays.
-            self._open_queue = None
+        # The base class's incremental ready queues go unused: small
+        # rounds sort directly (cheaper than queue upkeep at fig6's
+        # ready-set sizes), large rounds lexsort over prefetched arrays.
         vec = vec_plan_arrays(self.plan)
         self._vec = vec
         # Lazily bound (start, count) into the alternative bank,
@@ -351,14 +285,6 @@ class VecBraidSimulator(BraidSimulator):
                 f"unfinished operations (first: {unfinished[:5]}); this "
                 "is a simulator bug"
             )
-        if self._scoreboard is not None:
-            dirty = self._scoreboard.outstanding()
-            if dirty:
-                raise RuntimeError(
-                    f"scoreboard finished with {dirty} rows still "
-                    "holding dependency bits; retire bookkeeping "
-                    "diverged from the event loop"
-                )
         critical = self.plan.critical_path
         total_time = max(self._completion_time, 1)
         return BraidSimResult(
@@ -394,8 +320,6 @@ class VecBraidSimulator(BraidSimulator):
             self._wait_start[op] = time
             self._arrival[op] = next(self._arrival_counter)
             self._ready_opens.add(op)
-            if self._open_queue is not None:
-                self._open_queue.add(op)
             if self._resv is not None:
                 # Reserved-cycle gate: wake exactly when the table says
                 # this segment issues (no event may exist there yet).
@@ -415,10 +339,6 @@ class VecBraidSimulator(BraidSimulator):
         self._phase[op] = _DONE
         if time > self._completion_time:
             self._completion_time = time
-        if self._scoreboard is not None:
-            # Clear this op's column before readying successors, so a
-            # wakeup (zero row) is visible the moment an op is ready.
-            self._scoreboard.retire(op, self._successors)
         remaining = self._remaining_preds
         for succ in self._successors[op]:
             remaining[succ] -= 1
@@ -470,13 +390,13 @@ class VecBraidSimulator(BraidSimulator):
         """Policy open order for close-first issue sequences.
 
         Matches ``Policy.open_sort_key`` exactly: every key ends in the
-        unique FIFO arrival stamp, so the sort is total and reduces to
-        plain tuple sorts over prefetched arrays.
+        unique FIFO arrival stamp or is the op itself, so the sort is
+        total and reduces to plain tuple sorts over prefetched arrays.
         """
         policy = self.policy
         arrival = self._arrival
-        if policy.family == "scoreboard":
-            # Oldest ready = lowest program index (matrix-wakeup age).
+        if policy.program_order:
+            # Oldest ready = lowest program index.
             opens.sort()
             return opens
         if policy.combined_length_rule:
@@ -518,8 +438,6 @@ class VecBraidSimulator(BraidSimulator):
             self._wait_start[op] = time
             self._arrival[op] = next(self._arrival_counter)
             self._ready_opens.add(op)
-            if self._open_queue is not None:
-                self._open_queue.add(op)
             if self._resv is not None:
                 cycle = self._resv.reserved[op][self._segment_index[op]]
                 if cycle > time:
@@ -566,8 +484,6 @@ class VecBraidSimulator(BraidSimulator):
                 self._drops += 1
                 self._wait_start[op] = time
                 self._arrival[op] = next(self._arrival_counter)
-                if self._open_queue is not None:
-                    self._open_queue.restamp(op)
             if not adaptive:
                 # Make sure the op is retried once adaptivity unlocks,
                 # even if no braid closes in the meantime.
@@ -583,8 +499,6 @@ class VecBraidSimulator(BraidSimulator):
             self._adaptive += 1
         mesh.claim_mask(mask, op)
         self._ready_opens.discard(op)
-        if self._open_queue is not None:
-            self._open_queue.remove(op)
         self._phase[op] = _HOLDING
         self._braids += 1
         # Open takes this cycle; stabilize for `hold`; then close.
@@ -608,10 +522,13 @@ class VecBraidSimulator(BraidSimulator):
         """Policy open order as one lexsort over prefetched arrays.
 
         Matches :meth:`_sort_opens` exactly: every key
-        ends in (arrival, op), so the order is total and deterministic
-        regardless of the ready set's iteration order.
+        ends in (arrival, op) or is the op itself, so the order is total
+        and deterministic regardless of the ready set's iteration order.
         """
         ops = np.asarray(opens, dtype=np.int64)
+        if self.policy.program_order:
+            ops.sort()
+            return ops.tolist()
         arrival_list = self._arrival
         arrival = np.fromiter(
             (arrival_list[op] for op in opens), np.int64, len(opens)
@@ -763,11 +680,7 @@ class VecBraidSimulator(BraidSimulator):
             k = len(opens)
             batched = k >= _BATCH_MIN
             if closes_first:
-                if self._open_queue is not None:
-                    # Scoreboard family: the word-packed ready bitset
-                    # is the order (oldest program index first).
-                    ordered = self._open_queue.ordered(self._ready_opens)
-                elif batched:
+                if batched:
                     ordered = self._ordered_opens_vec(opens)
                 elif k > 1:
                     ordered = self._sort_opens(opens)

@@ -10,14 +10,15 @@ controls three things:
   braids release network resources, so close-first helps), criticality
   (transitive dependents), and route length.
 
-Policies 7 and 8 extend the same axis with two classical-scheduler
-*families* (machinery in :mod:`.policies_sched`): 7 plans periodic
-braid issue on a modulo reservation table, 8 wakes ops through a
-dependency bit-matrix scoreboard.  The :attr:`Policy.family` field
-selects the engine machinery; reactive policies keep the paper's
-seed-reference oracle, while the scheduler families are oracle-checked
-by the flat-vs-vec differential harness instead (the preserved seed
-loop predates them and refuses to run them).
+Policy 8 is one more reactive close-first policy: it ranks ready opens
+by program index (oldest op first), so a drop never sends an op to the
+back.  Policy 7 is the one classical-scheduler *family* (machinery in
+:mod:`.policies_sched`): it plans periodic braid issue on a modulo
+reservation table.  The :attr:`Policy.family` field selects the engine
+machinery; reactive policies keep the paper's seed-reference oracle,
+while the reservation family is oracle-checked by the flat-vs-vec
+differential harness instead (the preserved seed loop predates it and
+refuses to run it).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class Policy:
     """One braid scheduling policy.
 
     Attributes:
-        number: Policy number (0-6 from the paper, 7-8 the scheduler
-            families).
+        number: Policy number (0-6 from the paper, 7 the reservation
+            family, 8 the program-order close-first policy).
         description: One-line summary.
         interleave: Allow events of different ops to interleave.
         optimized_layout: Use the Section 6.2 interaction-aware layout.
@@ -44,9 +45,11 @@ class Policy:
         combined_length_rule: Policy 6's refinement -- among the most
             critical braids prefer short ones; among less critical
             braids prefer long ones.
+        program_order: Rank opens by program index alone; a drop does
+            not send the op to the back.
         family: Engine machinery selector -- ``"reactive"`` for the
-            paper's heuristics, ``"reservation"`` / ``"scoreboard"``
-            for the :mod:`.policies_sched` families.
+            ranked heuristics, ``"reservation"`` for the
+            :mod:`.policies_sched` modulo-scheduled family.
     """
 
     number: int
@@ -57,6 +60,7 @@ class Policy:
     use_criticality: bool = False
     use_length: bool = False
     combined_length_rule: bool = False
+    program_order: bool = False
     family: str = "reactive"
 
     @property
@@ -80,13 +84,10 @@ class Policy:
             ready_criticalities: Criticalities of currently-ready opens
                 (used by Policy 6 to split high/low criticality groups).
         """
-        if self.family == "scoreboard":
-            # Matrix wakeup: age is the program index, not the FIFO
-            # arrival stamp, so re-injection never reorders.
-            return lambda op: (op,)
-        if self.family == "reservation":
-            # Issue cycles are planned, not ranked; eligibility gating
-            # lives in the engines and ties break in program order.
+        if self.program_order or self.family == "reservation":
+            # Age is the program index, not the FIFO arrival stamp, so
+            # re-injection never reorders.  (Reservation issue cycles
+            # are planned, not ranked; ties break in program order.)
             return lambda op: (op,)
         if self.combined_length_rule:
             values = sorted(ready_criticalities, reverse=True)
@@ -168,12 +169,12 @@ POLICIES: dict[int, Policy] = {
         Policy(
             number=8,
             description=(
-                "Matrix scoreboard: dependency bit-matrix wakeup, "
-                "closes first, oldest ready op (program order) first"
+                "Interleave + layout + closes first, oldest ready op "
+                "(program order) first"
             ),
             optimized_layout=True,
             closes_first=True,
-            family="scoreboard",
+            program_order=True,
         ),
     ]
 }

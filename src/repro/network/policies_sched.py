@@ -1,8 +1,9 @@
-"""Classical-scheduler machinery behind policies 7 and 8.
+"""Classical-scheduler machinery behind policy 7.
 
 The paper's seven policies (:mod:`.policies`) are *reactive*: every
-timestep they look at the currently ready braids and pick an order.
-This module ports two richer machine-scheduler shapes from classical
+timestep they look at the currently ready braids and pick an order
+(policy 8 is one more of them, ranked by program index).  This module
+ports one richer machine-scheduler shape from classical
 microarchitecture onto the braid domain, behind the same policy axis:
 
 * **Reservation table** (Policy 7) — the VLIW modulo-scheduling idiom.
@@ -19,22 +20,17 @@ microarchitecture onto the braid domain, behind the same policy axis:
   exactly then, and by construction the dominant route is free — no
   adaptivity, no drops, no intra-cycle ordering hazards.
 
-* **Matrix scoreboard** (Policy 8) — the dependency-matrix wakeup of
-  classical out-of-order schedulers.  :func:`dependency_matrix` packs
-  each op's predecessor set into one bit-row (bit ``p`` of row ``s``
-  is set iff ``p`` precedes ``s``); a :class:`MatrixScoreboard`
-  clears columns as ops retire, so a zero row *is* the wakeup, and a
-  ready bitset gives oldest-first (lowest program index) selection in
-  one find-first-set per pick.  Rows are packed link-mask style —
-  Python big ints here, the same bits as ``<u8`` word arrays in the
-  vec engine's :class:`~.braidsim_vec.VecBraidSimulator` flavor.
-
-Both families are policy-*independent* functions of the
-:class:`~.plan.BraidPlan` (holds, routes, DAG arrays), so their
-artifacts are memoized per plan identity exactly like
+The schedule is a policy-*independent* function of the
+:class:`~.plan.BraidPlan` (holds, routes, DAG arrays), so it is
+memoized per plan identity exactly like
 :func:`~.braidsim_vec.vec_plan_arrays`, shared by the flat and vec
 engines and re-derived independently by the IR verifier
 (:func:`repro.analysis.ir_checks.check_sched`).
+
+:func:`dependency_matrix` (memoized as :func:`scoreboard_matrix`)
+packs each op's predecessors into a bit-row.  No engine or checker
+uses it; it is kept only because the benchmark's trace counters read
+it.
 
 Timing contract (kept in lockstep with :mod:`.braidsim`): a segment
 opened at cycle ``t`` holds its links through the close at
@@ -49,16 +45,14 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .plan import BraidPlan
 
 __all__ = [
-    "MatrixScoreboard",
     "ReservationSchedule",
     "ReservationTable",
-    "ScoreboardReadyQueue",
     "build_reservation",
     "dependency_matrix",
     "ii_lower_bound",
@@ -254,16 +248,15 @@ def build_reservation(plan: "BraidPlan") -> ReservationSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Matrix-scoreboard policy (8): dependency bit-matrix wakeup
+# Dependency bit-matrix (no engine uses it; see the module docstring)
 
 
 def dependency_matrix(plan: "BraidPlan") -> tuple[int, ...]:
     """Predecessor bit-rows: bit ``p`` of row ``s`` iff ``p -> s``.
 
-    Row popcounts equal the plan's in-degrees and columns mirror its
-    successor lists — invariants the IR verifier re-checks.  The tuple
-    is immutable and shared; simulations copy it into a
-    :class:`MatrixScoreboard` before clearing columns.
+    Row popcounts equal the plan's in-degrees.  No engine or checker
+    calls this: it stays only because the benchmark's trace pass
+    (``perfbench/tracing.py``) reports ``sched.matrix_bits`` from it.
     """
     rows = [0] * plan.num_ops
     for op, succs in enumerate(plan.successors):
@@ -271,75 +264,6 @@ def dependency_matrix(plan: "BraidPlan") -> tuple[int, ...]:
         for succ in succs:
             rows[succ] |= bit
     return tuple(rows)
-
-
-class MatrixScoreboard:
-    """Mutable per-simulation scoreboard over one dependency matrix.
-
-    ``rows[s]`` holds the still-outstanding predecessors of op ``s``;
-    retiring an op clears its column, and a zero row is the wakeup
-    condition (cross-checked against the engine's predecessor counts
-    by the property tests, and required empty at end of run).
-    ``ready`` is the issuable-open bitset the selection reads: oldest
-    ready op = lowest set bit, O(1) per pick.
-    """
-
-    __slots__ = ("rows", "ready")
-
-    def __init__(self, matrix: Sequence[int]) -> None:
-        self.rows: list[int] = list(matrix)
-        self.ready = 0
-
-    def retire(self, op: int, successors: Sequence[Sequence[int]]) -> None:
-        """Clear column ``op`` (only rows that can hold it: successors)."""
-        clear = ~(1 << op)
-        rows = self.rows
-        for succ in successors[op]:
-            rows[succ] &= clear
-
-    def row_clear(self, op: int) -> bool:
-        return self.rows[op] == 0
-
-    def outstanding(self) -> int:
-        """Rows still holding unresolved dependency bits."""
-        return sum(1 for row in self.rows if row)
-
-    def add_ready(self, op: int) -> None:
-        self.ready |= 1 << op
-
-    def remove_ready(self, op: int) -> None:
-        self.ready &= ~(1 << op)
-
-    def ordered_ready(self) -> list[int]:
-        """Ready ops, oldest (lowest program index) first."""
-        return list(_iter_bits(self.ready))
-
-
-class ScoreboardReadyQueue:
-    """Flat-engine ready-open queue backed by the scoreboard bitset.
-
-    Implements the incremental-queue protocol of
-    :class:`~.braidsim._FifoReadyQueue`; ``ordered`` ignores arrival
-    stamps entirely — under the scoreboard family age *is* the program
-    index, so a drop/re-inject does not send an op to the back.
-    """
-
-    __slots__ = ("_board",)
-
-    def __init__(self, board: MatrixScoreboard) -> None:
-        self._board = board
-
-    def add(self, op: int) -> None:
-        self._board.add_ready(op)
-
-    def remove(self, op: int) -> None:
-        self._board.remove_ready(op)
-
-    def restamp(self, op: int) -> None:
-        pass  # program-index age: re-injection keeps the op's slot
-
-    def ordered(self, ready: set[int]) -> list[int]:
-        return self._board.ordered_ready()
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +299,8 @@ def reservation_schedule(plan: "BraidPlan") -> ReservationSchedule:
 
 
 def scoreboard_matrix(plan: "BraidPlan") -> tuple[int, ...]:
-    """Memoized :func:`dependency_matrix`."""
+    """Memoized :func:`dependency_matrix` (kept only for the benchmark's
+    ``sched.matrix_bits`` trace counter)."""
     return _memoized(_MATRIX_MEMO, plan, dependency_matrix)
 
 

@@ -181,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "predefined grid (fig6: 4 apps x 7 policies, d=5; fig6x "
-            "adds the two scheduler-family policies for a 9-policy "
-            "plane)"
+            "adds policy 7 (reservation table) and policy 8 "
+            "(program-order close-first) for a 9-policy plane)"
         ),
     )
     sweep.add_argument(
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="fig6",
         help=(
             "artifact grid: fig6 (4 apps, both layouts, d=5), fig6x "
-            "(fig6 plus the scheduler-family policies), or tiny "
+            "(fig6 plus policies 7 and 8), or tiny "
             "(3 small apps, CI-sized)"
         ),
     )

@@ -171,8 +171,8 @@ def fig6_grid(sizes: Optional[Mapping[str, int]] = None) -> GridSpec:
 
 def fig6x_grid(sizes: Optional[Mapping[str, int]] = None) -> GridSpec:
     """The extended Fig. 6 plane: the paper's seven reactive policies
-    plus the two classical-scheduler families (7 reservation-table,
-    8 matrix-scoreboard) over the same four applications."""
+    plus policy 7 (the reservation-table family) and policy 8 (reactive
+    close-first in program order) over the same four applications."""
     return GridSpec(
         apps=DEFAULT_APPS,
         sizes=dict(sizes) if sizes is not None else dict(SMALL_SIM_SIZES),

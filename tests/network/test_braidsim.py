@@ -217,7 +217,7 @@ class TestEngineSafetyChecks:
             factory_routers=factories, config=at_limit,
         ) == full
 
-    @pytest.mark.parametrize("policy", range(7))
+    @pytest.mark.parametrize("policy", [*range(7), 8])
     def test_caller_mesh_ends_released_with_reference_epoch(self, policy):
         qubits, placement, _, factories = make_env(9, 3, 3)
         c = contended_circuit(qubits)
@@ -237,8 +237,9 @@ class TestEngineSafetyChecks:
 
     @pytest.mark.parametrize("policy", [7, 8])
     def test_caller_mesh_ends_released_with_vec_epoch(self, policy):
-        # The reference loop does not speak policies 7-8; the vec
-        # engine is their oracle.
+        # The reference loop does not speak policy 7, so the vec engine
+        # is its oracle; policy 8 covers vec's write-back when closing
+        # first.
         pytest.importorskip("numpy")
         qubits, placement, _, factories = make_env(9, 3, 3)
         c = contended_circuit(qubits)
@@ -331,9 +332,27 @@ class TestPolicies:
         assert [p.number for p in ALL_POLICIES] == list(range(9))
 
     def test_policy_families(self):
-        assert all(POLICIES[i].family == "reactive" for i in range(7))
+        reactive = [*range(7), 8]
+        assert all(POLICIES[i].family == "reactive" for i in reactive)
         assert POLICIES[7].family == "reservation"
-        assert POLICIES[8].family == "scoreboard"
+        assert POLICIES[8].program_order
+        assert POLICIES[8].closes_first
+        assert not any(POLICIES[i].program_order for i in range(8))
+
+    def test_reference_loop_rejects_only_policy_7(self):
+        qubits, placement, mesh, factories = make_env(4, 2, 2)
+        c = Circuit(qubits=qubits)
+        c.apply("CNOT", "q0", "q3")
+        plan = BraidPlan.build(c, placement, mesh, distance=3,
+                               factory_routers=factories)
+        with pytest.raises(ValueError, match="policy 7 is the only"):
+            braidsim.simulate_plan(plan, 7, engine="reference")
+        with pytest.raises(ValueError, match="policy 7 is the only"):
+            simulate_braids_reference(c, placement, BraidMesh(2, 2), 7, 3,
+                                      factory_routers=factories)
+        assert braidsim.simulate_plan(plan, 8, engine="reference") == (
+            braidsim.simulate_plan(plan, 8)
+        )
 
     def test_policy0_no_interleave(self):
         assert not POLICIES[0].interleave
@@ -364,6 +383,15 @@ class TestPolicies:
             arrival=lambda op: op,
         )
         assert sorted([1, 2], key=key) == [2, 1]
+
+    def test_sort_key_program_order_ignores_arrival(self):
+        # A drop restamps arrival; policy 8 keeps ranking by op index.
+        key = POLICIES[8].open_sort_key(
+            criticality=lambda op: 0,
+            route_length=lambda op: 0,
+            arrival={1: 7, 2: 3}.get,
+        )
+        assert sorted([2, 1], key=key) == [1, 2]
 
     def test_policy6_length_rule_splits_by_criticality(self):
         crit = {1: 10, 2: 10, 3: 1, 4: 1}

@@ -10,14 +10,15 @@ flat and the vec engine -- and over synthetic high-contention circuits
 (which exercise adaptive routing and the drop/re-inject path); the
 full Figure 6 grid is verified against the reference loop whenever the
 benchmark's expected outputs are recorded (``perfbench/record.py``).
+"Every policy" means every reactive one: 0--6 and 8, the program-order
+close-first policy.
 
-The scheduler-family policies (7 reservation-table, 8 matrix-
-scoreboard) predate no seed loop to compare against, so their contract
-is pinned the other way: a committed golden JSON
-(``golden_policy_sched.json``) records their results on a small fixed
-grid, and ``TestSchedulerFamilyGolden`` recomputes and compares every
-field.  Refactors that change their scheduling decisions must update
-the golden file deliberately.
+The reservation-table policy (7) has no seed loop to compare against,
+so its contract is pinned the other way: a committed golden JSON
+(``golden_policy_sched.json``) records its results -- and policy 8's --
+on a small fixed grid, and ``TestSchedulerFamilyGolden`` recomputes and
+compares every field.  Refactors that change their scheduling
+decisions must update the golden file deliberately.
 """
 
 import json
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.network import (
+    ALL_POLICIES,
     BraidMesh,
     BraidSimConfig,
     braidsim_vec,
@@ -46,6 +48,9 @@ from repro.runner.stages import (
 
 GOLDEN_PATH = Path(__file__).parent / "golden_policy_sched.json"
 
+REACTIVE = [p.number for p in ALL_POLICIES if p.family == "reactive"]
+"""Every policy the seed reference loop runs: 0--6 and 8."""
+
 
 def assert_equivalent(circuit, placement, rows, cols, policy, distance,
                       factories=(), config=None, dag=None):
@@ -64,7 +69,7 @@ def assert_equivalent(circuit, placement, rows, cols, policy, distance,
 class TestSyntheticCircuits:
     """Hand-built circuits hitting contention, adaptivity, and drops."""
 
-    @pytest.mark.parametrize("policy", range(7))
+    @pytest.mark.parametrize("policy", REACTIVE)
     def test_crossing_braids_tiny_mesh(self, policy):
         qubits = [f"q{i}" for i in range(4)]
         placement = naive_layout(qubits, GridShape(2, 2))
@@ -76,7 +81,7 @@ class TestSyntheticCircuits:
         result = assert_equivalent(c, placement, 2, 2, policy, 3)
         assert result.operations == 6
 
-    @pytest.mark.parametrize("policy", range(7))
+    @pytest.mark.parametrize("policy", REACTIVE)
     def test_serializing_1x2_mesh_forces_drops(self, policy):
         qubits = ["q0", "q1"]
         placement = naive_layout(qubits, GridShape(1, 2))
@@ -86,7 +91,7 @@ class TestSyntheticCircuits:
         config = BraidSimConfig(adaptive_timeout=1, drop_timeout=3)
         assert_equivalent(c, placement, 1, 2, policy, 4, config=config)
 
-    @pytest.mark.parametrize("policy", (0, 1, 5, 6))
+    @pytest.mark.parametrize("policy", REACTIVE)
     def test_t_gates_with_factories(self, policy):
         qubits = [f"q{i}" for i in range(6)]
         placement = naive_layout(qubits, GridShape(2, 3))
@@ -107,7 +112,7 @@ class TestApplicationInstances:
     def cache(self):
         return StageCache()
 
-    @pytest.mark.parametrize("policy", range(7))
+    @pytest.mark.parametrize("policy", REACTIVE)
     @pytest.mark.parametrize(
         "app,size", [("sq", 2), ("gse", 3), ("im", 8)]
     )
@@ -156,7 +161,7 @@ class TestApplicationInstances:
 
 
 class TestSchedulerFamilyGolden:
-    """Policies 7/8 pinned against the committed golden JSON."""
+    """Policies 7 and 8 pinned against the committed golden JSON."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -194,8 +199,8 @@ class TestSchedulerFamilyGolden:
         assert actual == expected
 
     def test_golden_covers_contention(self, golden):
-        # The grid must keep exercising the scoreboard's drop and
-        # adaptive paths, or the pin loses most of its power.
+        # The grid must keep exercising the drop and adaptive paths,
+        # or the pin loses most of its power.
         assert any(
             entry["drops"] or entry["adaptive_routes"]
             for entry in golden.values()

@@ -1,8 +1,7 @@
-"""Scheduler-family invariants: reservation tables and the scoreboard.
+"""Invariants of policies 7 (reservation table) and 8 (program order).
 
-Property tests over Hypothesis-generated plans pin the contracts the
-classical-scheduler policies (7 reservation-table, 8 matrix-scoreboard)
-are built on:
+Property tests over Hypothesis-generated plans pin the contracts these
+policies are built on:
 
 * a reservation schedule never double-books a link-cycle slot (its
   bookings replay into a fresh :class:`ReservationTable` without
@@ -11,14 +10,15 @@ are built on:
   ``ii()`` lower bound;
 * no policy, on either engine, opens a segment before all of its op's
   DAG predecessors are done (checked on the engines' decision trace);
+* policy 8 on the flat and vec engines equals the seed reference loop;
 * both policies yield makespans at or above the plan's
   policy-independent critical path, and the reservation policy's
   simulated schedule length equals the planner's makespan exactly
   (no drops, no adaptive reroutes — periodic issue by construction).
 
-The ``check_sched`` IR pass is exercised both ways: clean artifacts
-produce zero diagnostics, and seeded defects (shifted reservations,
-lowered ii, corrupted matrix rows) are each flagged as errors.
+The ``check_sched`` IR pass is exercised both ways: a clean schedule
+produces zero diagnostics, and seeded defects (shifted reservations,
+lowered ii, truncated schedules) are each flagged as errors.
 """
 
 import dataclasses
@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro.analysis.ir_checks import check_sched
 from repro.network import (
     BraidMesh,
-    MatrixScoreboard,
     ReservationTable,
     braidsim_vec,
     build_reservation,
@@ -125,33 +124,6 @@ class TestReservationTable:
         assert table.conflict(0, 5, 0) == -1
 
 
-class TestMatrixScoreboard:
-    """The dependency bit-matrix primitive."""
-
-    def test_retire_clears_column(self):
-        board = MatrixScoreboard([0, 0b1, 0b11])
-        assert not board.row_clear(1)
-        board.retire(0, [[1, 2], [2], []])
-        assert board.row_clear(1)
-        assert not board.row_clear(2)
-        board.retire(1, [[1, 2], [2], []])
-        assert board.row_clear(2)
-
-    def test_ready_set_orders_by_program_index(self):
-        board = MatrixScoreboard([0, 0, 0])
-        board.add_ready(2)
-        board.add_ready(0)
-        assert board.ordered_ready() == [0, 2]
-        board.remove_ready(0)
-        assert board.ordered_ready() == [2]
-
-    def test_outstanding_counts_unresolved_rows(self):
-        board = MatrixScoreboard([0, 0b1])
-        assert board.outstanding() == 1
-        board.retire(0, [[1], []])
-        assert board.outstanding() == 0
-
-
 def assert_respects_dependencies(plan, trace):
     """No segment opens before all of its op's DAG predecessors are done."""
     predecessors = [[] for _ in range(plan.num_ops)]
@@ -226,28 +198,17 @@ class TestSchedulerProperties:
     @given(plan=small_plans())
     @settings(max_examples=40, deadline=None)
     def test_scoreboard_never_selects_blocked_op(self, plan):
-        # Replays the scoreboard policy's trace through the dependency
-        # bit-matrix: every op it opens has an all-clear row, and every
-        # row is clear at the end.
+        # Policy 8 on each engine equals the seed reference loop, and
+        # its trace opens no op before all of its predecessors are done.
+        reference = simulate_plan(plan, 8, engine="reference")
         engines = [BraidSimulator]
         if braidsim_vec.np is not None:
             engines.append(braidsim_vec.VecBraidSimulator)
         for engine in engines:
             sim = engine(policy=POLICIES[8], plan=plan)
             sim.trace = []
-            result = sim.run()
-            assert result.operations == plan.num_ops
-            board = MatrixScoreboard(scoreboard_matrix(plan))
-            for entry in sim.trace:
-                kind, _, op = entry[:3]
-                if kind == "done":
-                    board.retire(op, plan.successors)
-                elif kind == "open":
-                    assert board.row_clear(op), (
-                        f"scoreboard selected op {op} with unresolved "
-                        "dependencies"
-                    )
-            assert board.outstanding() == 0
+            assert sim.run() == reference
+            assert_respects_dependencies(plan, sim.trace)
 
     @given(plan=small_plans())
     @settings(max_examples=40, deadline=None)
@@ -305,16 +266,3 @@ class TestCheckSchedPass:
         )
         errors = self._errors(plan, schedule=bad)
         assert any("covers" in e for e in errors)
-
-    def test_self_dependent_matrix_row_is_flagged(self, plan):
-        matrix = list(dependency_matrix(plan))
-        matrix[0] |= 1
-        errors = self._errors(plan, matrix=matrix)
-        assert any("own predecessor" in e for e in errors)
-
-    def test_dropped_dependency_bit_is_flagged(self, plan):
-        matrix = list(dependency_matrix(plan))
-        victim = next(op for op, row in enumerate(matrix) if row)
-        matrix[victim] &= matrix[victim] - 1  # clear lowest bit
-        errors = self._errors(plan, matrix=matrix)
-        assert any("popcount" in e for e in errors)

@@ -1,9 +1,10 @@
 """Cross-engine differential harness over the full 9-policy plane.
 
-The scheduler-family policies (7 reservation-table, 8 matrix-
-scoreboard) have no seed-reference oracle — the preserved seed loop in
-``repro.network._braidsim_reference`` predates them and refuses to run
-them.  Their correctness oracle is *differential*: the flat and vec
+The reservation-table policy (7) has no seed-reference oracle — the
+preserved seed loop in ``repro.network._braidsim_reference`` predates
+it and refuses to run it; every other policy, 8 included, is also
+checked against that loop by the golden tests.  Policy 7's correctness
+oracle is *differential*: the flat and vec
 engines implement the same semantics through very different code paths
 (one fused event loop vs a method-per-step loop with batched
 word-packed candidate filtering), so
